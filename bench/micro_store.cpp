@@ -69,6 +69,39 @@ void BM_CountByTypeCached(benchmark::State& state) {
 }
 BENCHMARK(BM_CountByTypeCached)->Arg(100)->Arg(1000)->Arg(10000);
 
+// The warm count over a partition spread across 4 segments plus the
+// memtable (compaction off): every read merges five sorted runs.
+// Each source holds every fifth clustering key, and the memtable also
+// overwrites every tenth key, so the merge must resolve collisions.
+void BM_CountByTypeMerged(benchmark::State& state) {
+  const auto elements = static_cast<uint64_t>(state.range(0));
+  BlockCache cache(256 * kMiB);
+  TableOptions options;
+  options.compaction_min_segments = 0;
+  Table table("bench", options, &cache);
+  for (uint64_t source = 0; source < 5; ++source) {
+    for (uint64_t i = source; i < elements; i += 5) {
+      table.Put("row", MakeColumn(i));
+    }
+    if (source == 4) {
+      for (uint64_t i = 0; i < elements; i += 10) {
+        table.Put("row", MakeColumn(i));
+      }
+    } else {
+      table.Flush();
+    }
+  }
+  KV_CHECK(table.segment_count() == 4);
+  KV_CHECK(table.CountByType("row").ok());  // warm the cache
+  for (auto _ : state) {
+    auto counts = table.CountByType("row");
+    benchmark::DoNotOptimize(counts);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(elements));
+}
+BENCHMARK(BM_CountByTypeMerged)->Arg(1000)->Arg(10000);
+
 // Same cached read with full metrics recording (counters + latency
 // histogram per read). Compare against BM_CountByTypeCached to see the
 // telemetry cost; BM_CountByTypeCached itself measures the disabled

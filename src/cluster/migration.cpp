@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "store/decoded_block.hpp"
 #include "store/row.hpp"
 #include "wire/messages.hpp"
 

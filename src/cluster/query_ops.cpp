@@ -4,15 +4,15 @@ namespace kvscale {
 
 namespace {
 
-/// (clustering, type_id) row columns from a column read, preserving the
+/// (clustering, type_id) row columns from a row read, preserving the
 /// read's order (ScanRange ascends, TopKByClustering descends).
-OperatorResult RowColumns(const std::vector<Column>& columns) {
+OperatorResult RowColumns(const std::vector<CellHeader>& rows) {
   OperatorResult out;
-  out.col_a.reserve(columns.size());
-  out.col_b.reserve(columns.size());
-  for (const Column& column : columns) {
-    out.col_a.push_back(column.clustering);
-    out.col_b.push_back(column.type_id);
+  out.col_a.reserve(rows.size());
+  out.col_b.reserve(rows.size());
+  for (const CellHeader& row : rows) {
+    out.col_a.push_back(row.clustering);
+    out.col_b.push_back(row.type_id);
   }
   return out;
 }
@@ -40,15 +40,15 @@ Result<OperatorResult> ExecuteOperator(const Table& table,
       return out;
     }
     case kOpRangeScan: {
-      auto columns =
+      auto rows =
           table.ScanRange(partition_key, arg_lo, arg_hi, arg_limit, probe);
-      if (!columns.ok()) return columns.status();
-      return RowColumns(columns.value());
+      if (!rows.ok()) return rows.status();
+      return RowColumns(rows.value());
     }
     case kOpTopK: {
-      auto columns = table.TopKByClustering(partition_key, arg_limit, probe);
-      if (!columns.ok()) return columns.status();
-      return RowColumns(columns.value());
+      auto rows = table.TopKByClustering(partition_key, arg_limit, probe);
+      if (!rows.ok()) return rows.status();
+      return RowColumns(rows.value());
     }
     default:
       return Status::InvalidArgument("unknown query operator " +

@@ -7,35 +7,28 @@ namespace kvscale {
 BlockCache::BlockCache(size_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {}
 
-size_t BlockCache::SizeOf(const std::vector<Column>& columns) {
-  size_t bytes = sizeof(Entry);
-  for (const Column& c : columns) bytes += c.EncodedSize() + 16;
-  return bytes;
-}
-
-bool BlockCache::Lookup(uint64_t segment_id, uint32_t block_no,
-                        std::vector<Column>* out) {
+BlockPtr BlockCache::Lookup(uint64_t segment_id, uint32_t block_no) {
   MutexLock lock(mu_);
   auto it = map_.find(Key{segment_id, block_no});
   if (it == map_.end()) {
     ++misses_;
-    return false;
+    return nullptr;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // promote
-  *out = it->second->columns;
-  return true;
+  return it->second->block;
 }
 
 void BlockCache::Insert(uint64_t segment_id, uint32_t block_no,
-                        const std::vector<Column>& columns) {
+                        BlockPtr block) {
+  KV_CHECK(block != nullptr);
+  const size_t bytes = block->ChargeBytes();
   MutexLock lock(mu_);
   const Key key{segment_id, block_no};
   if (map_.find(key) != map_.end()) return;  // already cached
-  const size_t bytes = SizeOf(columns);
   if (bytes > capacity_bytes_) return;  // would evict everything: skip
   EvictTo(capacity_bytes_ - bytes);
-  lru_.push_front(Entry{key, columns, bytes});
+  lru_.push_front(Entry{key, std::move(block), bytes});
   map_[key] = lru_.begin();
   used_bytes_ += bytes;
 }

@@ -1,4 +1,4 @@
-// LRU cache of decoded blocks.
+// LRU cache of shared decoded blocks.
 //
 // Plays the role of the OS page cache + Cassandra key/row caches in the
 // paper's discussion of replica selection ("spreading calls to different
@@ -9,28 +9,32 @@
 #include <cstdint>
 #include <list>
 #include <unordered_map>
-#include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "store/row.hpp"
+#include "store/decoded_block.hpp"
 
 namespace kvscale {
 
-/// Byte-capacity-bounded LRU over decoded column blocks. Thread-safe:
+/// Byte-capacity-bounded LRU over shared decoded blocks. Thread-safe:
 /// concurrent readers share one cache, as Cassandra's row cache does.
+///
+/// Entries are keyed by (segment cache id, block number). A segment's
+/// cache id is unique in the process (Segment::cache_id), so tables that
+/// share a cache never see each other's blocks. Each entry is charged
+/// its block's real size (DecodedBlock::ChargeBytes). A reader keeps its
+/// block alive through the shared pointer, so eviction never invalidates
+/// a block that is still being read.
 class BlockCache {
  public:
   explicit BlockCache(size_t capacity_bytes);
 
-  /// Copies the cached block into `out` and returns true on a hit.
-  /// Promotes on hit.
-  bool Lookup(uint64_t segment_id, uint32_t block_no,
-              std::vector<Column>* out);
+  /// The cached block, or null on a miss. A hit promotes the entry and
+  /// costs one reference-count increment; nothing is copied.
+  BlockPtr Lookup(uint64_t segment_id, uint32_t block_no);
 
-  /// Inserts (copies) a decoded block, evicting LRU entries as needed.
-  /// Blocks larger than the whole capacity are not cached.
-  void Insert(uint64_t segment_id, uint32_t block_no,
-              const std::vector<Column>& columns);
+  /// Inserts a decoded block, evicting LRU entries as needed. Blocks
+  /// charged more than the whole capacity are not cached.
+  void Insert(uint64_t segment_id, uint32_t block_no, BlockPtr block);
 
   /// Drops every cached block of `segment_id` (segment compacted away).
   void EraseSegment(uint64_t segment_id);
@@ -59,11 +63,10 @@ class BlockCache {
   };
   struct Entry {
     Key key;
-    std::vector<Column> columns;
-    size_t bytes;
+    BlockPtr block;
+    size_t bytes;  ///< block->ChargeBytes() at insertion
   };
 
-  static size_t SizeOf(const std::vector<Column>& columns);
   void EvictTo(size_t target_bytes) KV_REQUIRES(mu_);
 
   mutable Mutex mu_;

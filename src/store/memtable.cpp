@@ -29,20 +29,14 @@ std::vector<Column> Memtable::Get(std::string_view partition_key) const {
   return out;
 }
 
-std::vector<Column> Memtable::Slice(std::string_view partition_key,
-                                    uint64_t lo, uint64_t hi) const {
-  std::vector<Column> out;
-  auto it = partitions_.find(partition_key);
-  if (it == partitions_.end()) return out;
-  for (auto cit = it->second.lower_bound(lo);
-       cit != it->second.end() && cit->first <= hi; ++cit) {
-    out.push_back(cit->second);
-  }
-  return out;
-}
-
 bool Memtable::Contains(std::string_view partition_key) const {
   return partitions_.find(partition_key) != partitions_.end();
+}
+
+const std::map<uint64_t, Column>* Memtable::Find(
+    std::string_view partition_key) const {
+  auto it = partitions_.find(partition_key);
+  return it == partitions_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> Memtable::PartitionKeys() const {

@@ -24,11 +24,11 @@ class Memtable {
   /// All columns of a partition, sorted by clustering key; empty if absent.
   std::vector<Column> Get(std::string_view partition_key) const;
 
-  /// Columns with clustering key in [lo, hi], sorted.
-  std::vector<Column> Slice(std::string_view partition_key, uint64_t lo,
-                            uint64_t hi) const;
-
   bool Contains(std::string_view partition_key) const;
+
+  /// The partition's sorted cells, read in place (no copy); null if
+  /// absent. Valid until the next Put or Clear.
+  const std::map<uint64_t, Column>* Find(std::string_view partition_key) const;
 
   size_t partition_count() const { return partitions_.size(); }
   size_t column_count() const { return column_count_; }

@@ -18,30 +18,6 @@ void EncodeColumns(const std::vector<Column>& columns, WireBuffer& out) {
   }
 }
 
-Result<std::vector<Column>> DecodeColumns(std::span<const std::byte> data) {
-  WireReader r(data);
-  const uint64_t count = r.ReadVarint();
-  if (!r.ok()) return r.status();
-  // Guard against corrupted counts before reserving memory.
-  if (count > data.size()) return Status::Corruption("column count too large");
-  std::vector<Column> out;
-  out.reserve(count);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    Column c;
-    prev += r.ReadVarint();
-    c.clustering = prev;
-    const uint8_t flags = r.ReadU8();
-    if (flags > 1) return Status::Corruption("bad column flags");
-    c.tombstone = flags == 1;
-    c.type_id = static_cast<uint32_t>(r.ReadVarint());
-    c.payload = r.ReadBytes();
-    if (!r.ok()) return r.status();
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
 std::vector<std::byte> MakePayload(uint64_t seed, uint64_t clustering,
                                    size_t payload_bytes) {
   std::vector<std::byte> payload(payload_bytes);

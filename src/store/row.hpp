@@ -44,11 +44,9 @@ struct Column {
 };
 
 /// Encodes a run of columns into `out` (clustering keys delta-encoded).
-/// Columns must be sorted by clustering key.
+/// Columns must be sorted by clustering key. The one parser of this
+/// format is DecodedBlock::Decode (decoded_block.hpp).
 void EncodeColumns(const std::vector<Column>& columns, WireBuffer& out);
-
-/// Decodes all columns from `data`; returns kCorruption on malformed input.
-Result<std::vector<Column>> DecodeColumns(std::span<const std::byte> data);
 
 /// Builds a payload of `payload_bytes` pseudo-random bytes derived from
 /// (partition seed, clustering); deterministic, for datasets and tests.

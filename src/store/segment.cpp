@@ -1,6 +1,7 @@
 #include "store/segment.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/check.hpp"
 #include "hash/hash.hpp"
@@ -16,6 +17,15 @@ void ReadProbe::MergeFrom(const ReadProbe& other) {
   blocks_from_cache += other.blocks_from_cache;
   bytes_decoded += other.bytes_decoded;
   columns_returned += other.columns_returned;
+}
+
+Segment::Segment(uint64_t id, const SegmentOptions& options,
+                 size_t partitions)
+    : id_(id),
+      options_(options),
+      bloom_(std::max<size_t>(partitions, 1), options.bloom_fp_rate) {
+  static std::atomic<uint64_t> next_cache_id{1};
+  cache_id_ = next_cache_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const Segment> Segment::Build(const Memtable& memtable,
@@ -220,13 +230,11 @@ void Segment::FlipBlockBitForFaultInjection(uint32_t block_no,
   block[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
 }
 
-Result<std::vector<Column>> Segment::ReadBlock(uint32_t block_no,
-                                               BlockCache* cache,
-                                               ReadProbe* probe) const {
+Result<BlockPtr> Segment::ReadBlock(uint32_t block_no, BlockCache* cache,
+                                    ReadProbe* probe) const {
   KV_CHECK(block_no < blocks_.size());
   if (cache != nullptr) {
-    std::vector<Column> cached;
-    if (cache->Lookup(id_, block_no, &cached)) {
+    if (BlockPtr cached = cache->Lookup(cache_id_, block_no)) {
       if (probe != nullptr) ++probe->blocks_from_cache;
       return cached;
     }
@@ -236,84 +244,68 @@ Result<std::vector<Column>> Segment::ReadBlock(uint32_t block_no,
                               std::to_string(block_no) +
                               " checksum mismatch");
   }
-  auto decoded = DecodeColumns(blocks_[block_no]);
+  auto decoded = DecodedBlock::Decode(blocks_[block_no]);
   if (!decoded.ok()) return decoded.status();
   if (probe != nullptr) {
     ++probe->blocks_decoded;
     probe->bytes_decoded += blocks_[block_no].size();
   }
-  if (cache != nullptr) cache->Insert(id_, block_no, decoded.value());
+  if (cache != nullptr) cache->Insert(cache_id_, block_no, decoded.value());
   return decoded;
 }
 
-Result<std::vector<Column>> Segment::GetPartition(
-    std::string_view partition_key, BlockCache* cache,
-    ReadProbe* probe) const {
+Status Segment::ReadRun(std::string_view partition_key,
+                        std::optional<ClusteringRange> range,
+                        BlockCache* cache, ReadProbe* probe,
+                        std::vector<BlockSlice>* out) const {
   const PartitionMeta* meta = FindMeta(partition_key);
   if (meta == nullptr) {
     return Status::NotFound(std::string(partition_key));
   }
-  std::vector<Column> out;
-  out.reserve(meta->column_count);
-  for (uint32_t b = meta->first_block;
-       b < meta->first_block + meta->block_count; ++b) {
-    auto block = ReadBlock(b, cache, probe);
+  auto add_block = [&](uint32_t block_no) -> Status {
+    auto block = ReadBlock(block_no, cache, probe);
     if (!block.ok()) return block.status();
-    auto& cols = block.value();
-    out.insert(out.end(), cols.begin(), cols.end());
-  }
-  if (probe != nullptr) probe->columns_returned += out.size();
-  return out;
-}
-
-Result<std::vector<Column>> Segment::Slice(std::string_view partition_key,
-                                           uint64_t lo, uint64_t hi,
-                                           BlockCache* cache,
-                                           ReadProbe* probe) const {
-  if (lo > hi) return Status::InvalidArgument("slice lo > hi");
-  const PartitionMeta* meta = FindMeta(partition_key);
-  if (meta == nullptr) {
-    return Status::NotFound(std::string(partition_key));
-  }
-
-  std::vector<Column> out;
-  auto append_in_range = [&](const std::vector<Column>& cols) {
-    // Columns are sorted: binary-search the sub-range.
-    auto first = std::lower_bound(cols.begin(), cols.end(), lo,
-                                  [](const Column& c, uint64_t v) {
-                                    return c.clustering < v;
-                                  });
-    for (auto it = first; it != cols.end() && it->clustering <= hi; ++it) {
-      out.push_back(*it);
+    const auto& keys = block.value()->clustering;
+    // Columns are sorted: binary-search the block's share of the range.
+    auto first = keys.begin();
+    auto last = keys.end();
+    if (range.has_value()) {
+      first = std::lower_bound(keys.begin(), keys.end(), range->lo);
+      last = std::upper_bound(first, keys.end(), range->hi);
     }
+    if (probe != nullptr) {
+      probe->columns_returned += static_cast<uint64_t>(last - first);
+    }
+    if (first != last) {
+      out->push_back(BlockSlice{std::move(block).value(),
+                                static_cast<uint32_t>(first - keys.begin()),
+                                static_cast<uint32_t>(last - keys.begin())});
+    }
+    return Status::Ok();
   };
 
-  if (meta->has_column_index) {
-    // Indexed partition: binary-search the column index, decode only the
+  if (range.has_value() && meta->has_column_index) {
+    // Indexed partition: binary-search the column index, read only the
     // blocks overlapping [lo, hi].
     if (probe != nullptr) ++probe->index_probes;
     const auto& index = meta->column_index;
-    auto first = std::lower_bound(index.begin(), index.end(), lo,
+    auto first = std::lower_bound(index.begin(), index.end(), range->lo,
                                   [](const ColumnIndexEntry& e, uint64_t v) {
                                     return e.last_clustering < v;
                                   });
-    for (auto it = first; it != index.end() && it->first_clustering <= hi;
-         ++it) {
-      auto block = ReadBlock(it->block, cache, probe);
-      if (!block.ok()) return block.status();
-      append_in_range(block.value());
+    for (auto it = first;
+         it != index.end() && it->first_clustering <= range->hi; ++it) {
+      KV_RETURN_IF_ERROR(add_block(it->block));
     }
-  } else {
-    // Unindexed (< 64 KB) partition: every block must be decoded.
-    for (uint32_t b = meta->first_block;
-         b < meta->first_block + meta->block_count; ++b) {
-      auto block = ReadBlock(b, cache, probe);
-      if (!block.ok()) return block.status();
-      append_in_range(block.value());
-    }
+    return Status::Ok();
   }
-  if (probe != nullptr) probe->columns_returned += out.size();
-  return out;
+  // A whole-partition read, or an unindexed (< 64 KB) partition: every
+  // block must be read.
+  for (uint32_t b = meta->first_block;
+       b < meta->first_block + meta->block_count; ++b) {
+    KV_RETURN_IF_ERROR(add_block(b));
+  }
+  return Status::Ok();
 }
 
 }  // namespace kvscale

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "store/bloom.hpp"
+#include "store/decoded_block.hpp"
 #include "store/memtable.hpp"
 #include "store/row.hpp"
 
@@ -47,6 +49,20 @@ struct ReadProbe {
 };
 
 class BlockCache;  // forward declaration (block_cache.hpp)
+
+/// Inclusive clustering-key bounds of a range read.
+struct ClusteringRange {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+};
+
+/// One block's share of a sorted run: cells [begin, end) of `block`.
+/// Holding the pointer keeps the block alive even if the cache evicts it.
+struct BlockSlice {
+  BlockPtr block;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
 
 /// Immutable sorted segment.
 class Segment {
@@ -84,17 +100,17 @@ class Segment {
   /// in this segment.
   bool MayContain(std::string_view partition_key) const;
 
-  /// Reads a whole partition; NotFound if absent. `cache` may be null.
-  Result<std::vector<Column>> GetPartition(std::string_view partition_key,
-                                           BlockCache* cache,
-                                           ReadProbe* probe) const;
-
-  /// Reads columns with clustering in [lo, hi]. For indexed partitions only
-  /// the overlapping blocks are decoded; unindexed partitions decode all
-  /// blocks (the 64 KB threshold effect).
-  Result<std::vector<Column>> Slice(std::string_view partition_key,
-                                    uint64_t lo, uint64_t hi,
-                                    BlockCache* cache, ReadProbe* probe) const;
+  /// Reads one partition's cells as decoded blocks, in place: appends to
+  /// `out` the non-empty slice of every block read, in clustering order.
+  /// With no `range` every block of the partition is read. With a range,
+  /// an indexed partition reads only the blocks the column index says
+  /// overlap [lo, hi]; an unindexed one (< 64 KB) still reads all of its
+  /// blocks (the threshold effect). Tombstones are kept. NotFound if the
+  /// partition is absent, kCorruption if a block fails its checksum.
+  /// `cache` may be null.
+  Status ReadRun(std::string_view partition_key,
+                 std::optional<ClusteringRange> range, BlockCache* cache,
+                 ReadProbe* probe, std::vector<BlockSlice>* out) const;
 
   bool HasPartition(std::string_view partition_key) const;
   const PartitionMeta* FindMeta(std::string_view partition_key) const;
@@ -115,6 +131,10 @@ class Segment {
   void FlipBlockBitForFaultInjection(uint32_t block_no, uint64_t bit_index);
 
   uint64_t id() const { return id_; }
+  /// Process-unique key of this segment object in the block cache. Unlike
+  /// id(), which each table numbers from 1 and snapshots persist, it is
+  /// never shared by two segments.
+  uint64_t cache_id() const { return cache_id_; }
   size_t partition_count() const { return directory_.size(); }
   size_t block_count() const { return blocks_.size(); }
   uint64_t column_count() const { return total_columns_; }
@@ -122,10 +142,7 @@ class Segment {
   std::vector<std::string> PartitionKeys() const;
 
  private:
-  Segment(uint64_t id, const SegmentOptions& options, size_t partitions)
-      : id_(id),
-        options_(options),
-        bloom_(std::max<size_t>(partitions, 1), options.bloom_fp_rate) {}
+  Segment(uint64_t id, const SegmentOptions& options, size_t partitions);
 
   void AddPartition(const std::string& key, const std::vector<Column>& columns);
 
@@ -133,10 +150,11 @@ class Segment {
   /// the block's checksum before decoding (cache hits skip the check:
   /// cached entries were verified when first decoded) and surfaces a
   /// mismatch as kCorruption instead of returning damaged columns.
-  Result<std::vector<Column>> ReadBlock(uint32_t block_no, BlockCache* cache,
-                                        ReadProbe* probe) const;
+  Result<BlockPtr> ReadBlock(uint32_t block_no, BlockCache* cache,
+                             ReadProbe* probe) const;
 
   uint64_t id_;
+  uint64_t cache_id_;
   SegmentOptions options_;
   BloomFilter bloom_;
   std::map<std::string, PartitionMeta, std::less<>> directory_;

@@ -1,7 +1,9 @@
 #include "store/table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <iterator>
 #include <numeric>
 #include <set>
 
@@ -34,6 +36,131 @@ ReadProbe ProbeDelta(const ReadProbe& before, const ReadProbe& after) {
   delta.bytes_decoded = after.bytes_decoded - before.bytes_decoded;
   delta.columns_returned = after.columns_returned - before.columns_returned;
   return delta;
+}
+
+using MemtableCells = std::map<uint64_t, Column>;
+
+/// One source's cells of a partition, ascending and never empty: a
+/// segment's block slices, or the memtable's [first, last) range.
+struct SortedRun {
+  std::vector<BlockSlice> slices;
+  bool in_memtable = false;
+  MemtableCells::const_iterator first, last;
+};
+
+/// Walks one SortedRun in either direction.
+class RunCursor {
+ public:
+  RunCursor(const SortedRun& run, bool descending)
+      : run_(&run), descending_(descending) {
+    if (run.in_memtable) {
+      it_ = descending ? std::prev(run.last) : run.first;
+    } else {
+      Enter(descending ? run.slices.size() - 1 : 0);
+    }
+  }
+
+  bool done() const { return done_; }
+
+  uint64_t key() const {
+    return run_->in_memtable ? it_->first : block_->clustering[cell_];
+  }
+
+  CellView cell() const {
+    return run_->in_memtable ? CellView::Of(it_->second) : block_->cell(cell_);
+  }
+
+  void Next() {
+    if (run_->in_memtable) {
+      if (!descending_) {
+        done_ = ++it_ == run_->last;
+      } else if (it_ == run_->first) {
+        done_ = true;
+      } else {
+        --it_;
+      }
+      return;
+    }
+    const BlockSlice& slice = run_->slices[slice_];
+    if (!descending_) {
+      if (++cell_ < slice.end) return;
+      if (slice_ + 1 < run_->slices.size()) {
+        Enter(slice_ + 1);
+      } else {
+        done_ = true;
+      }
+    } else if (cell_ > slice.begin) {
+      --cell_;
+    } else if (slice_ > 0) {
+      Enter(slice_ - 1);
+    } else {
+      done_ = true;
+    }
+  }
+
+ private:
+  void Enter(size_t slice) {
+    slice_ = slice;
+    const BlockSlice& s = run_->slices[slice];
+    block_ = s.block.get();
+    cell_ = descending_ ? s.end - 1 : s.begin;
+  }
+
+  const SortedRun* run_;
+  bool descending_;
+  bool done_ = false;
+  MemtableCells::const_iterator it_;  // memtable run
+  size_t slice_ = 0;                  // segment run
+  const DecodedBlock* block_ = nullptr;
+  uint32_t cell_ = 0;
+};
+
+/// Visits the cells of `runs` (oldest source first) in clustering order,
+/// descending if asked. One run is streamed; several are k-way merged,
+/// and a key held by several runs is visited once, from the newest.
+/// Tombstones are skipped unless `keep_tombstones`. `visit` returns
+/// false to stop.
+template <typename Visit>
+void WalkRuns(const std::vector<SortedRun>& runs, bool descending,
+              bool keep_tombstones, Visit&& visit) {
+  std::vector<RunCursor> cursors;
+  cursors.reserve(runs.size());
+  for (const SortedRun& run : runs) cursors.emplace_back(run, descending);
+  if (cursors.size() == 1) {
+    for (RunCursor& only = cursors.front(); !only.done(); only.Next()) {
+      const CellView cell = only.cell();
+      if (cell.tombstone && !keep_tombstones) continue;
+      if (!visit(cell)) return;
+    }
+    return;
+  }
+  while (true) {
+    // The next key in walk order; on a tie the later (newer) run wins.
+    RunCursor* newest = nullptr;
+    for (RunCursor& cursor : cursors) {
+      if (cursor.done()) continue;
+      if (newest == nullptr ||
+          (descending ? cursor.key() >= newest->key()
+                      : cursor.key() <= newest->key())) {
+        newest = &cursor;
+      }
+    }
+    if (newest == nullptr) return;
+    const CellView cell = newest->cell();
+    for (RunCursor& cursor : cursors) {
+      if (!cursor.done() && cursor.key() == cell.clustering) cursor.Next();
+    }
+    if (cell.tombstone && !keep_tombstones) continue;
+    if (!visit(cell)) return;
+  }
+}
+
+/// The visitor of the materialising reads: appends every cell as a Column.
+auto AppendTo(std::vector<Column>* out) {
+  return [out](const CellView& cell) {
+    out->push_back(cell.ToColumn());
+    return true;
+  };
 }
 
 }  // namespace
@@ -82,17 +209,16 @@ std::shared_ptr<const Segment> Table::MergeSegmentsLocked(
   std::vector<std::pair<std::string, std::vector<Column>>> partitions;
   partitions.reserve(keys.size());
   for (const auto& key : keys) {
-    std::map<uint64_t, Column> merged;
+    std::vector<SortedRun> runs;
     for (size_t idx : indices) {  // ascending = oldest first
-      auto cols = segments_[idx]->GetPartition(key, nullptr, nullptr);
-      if (cols.ok()) MergeColumns(merged, std::move(cols).value());
+      SortedRun run;
+      const Status read = segments_[idx]->ReadRun(key, std::nullopt, nullptr,
+                                                  nullptr, &run.slices);
+      if (read.ok() && !run.slices.empty()) runs.push_back(std::move(run));
     }
     std::vector<Column> columns;
-    columns.reserve(merged.size());
-    for (auto& [clustering, column] : merged) {
-      if (purge_tombstones && column.tombstone) continue;
-      columns.push_back(std::move(column));
-    }
+    WalkRuns(runs, /*descending=*/false, /*keep_tombstones=*/!purge_tombstones,
+             AppendTo(&columns));
     if (columns.empty()) continue;
     partitions.emplace_back(key, std::move(columns));
   }
@@ -127,7 +253,7 @@ void Table::MaybeCompactLocked() {
     for (size_t i = start; i < start + want; ++i) run.push_back(i);
     auto merged = MergeSegmentsLocked(run, /*purge_tombstones=*/false);
     if (cache_ != nullptr) {
-      for (size_t idx : run) cache_->EraseSegment(segments_[idx]->id());
+      for (size_t idx : run) cache_->EraseSegment(segments_[idx]->cache_id());
     }
     segments_[start] = std::move(merged);
     segments_.erase(
@@ -155,7 +281,7 @@ uint64_t Table::CorruptBlocksForFaultInjection(double fraction, Rng& rng) {
       ++corrupted;
       touched = true;
     }
-    if (touched && cache_ != nullptr) cache_->EraseSegment(segment->id());
+    if (touched && cache_ != nullptr) cache_->EraseSegment(segment->cache_id());
   }
   if (corrupted == 0 && fraction > 0.0 && any_block) {
     // Guarantee at least one casualty so a chaos run always has teeth.
@@ -168,7 +294,7 @@ uint64_t Table::CorruptBlocksForFaultInjection(double fraction, Rng& rng) {
         static_cast<uint32_t>(rng.Below(segment->block_count()));
     const_cast<Segment&>(*segment).FlipBlockBitForFaultInjection(block,
                                                                  rng.Next());
-    if (cache_ != nullptr) cache_->EraseSegment(segment->id());
+    if (cache_ != nullptr) cache_->EraseSegment(segment->cache_id());
     corrupted = 1;
   }
   return corrupted;
@@ -188,7 +314,7 @@ Status Table::CorruptBlockForFaultInjection(size_t segment_index,
   }
   const_cast<Segment&>(*segment).FlipBlockBitForFaultInjection(block_no,
                                                                bit_index);
-  if (cache_ != nullptr) cache_->EraseSegment(segment->id());
+  if (cache_ != nullptr) cache_->EraseSegment(segment->cache_id());
   return Status::Ok();
 }
 
@@ -276,7 +402,7 @@ Status Table::LoadSnapshot(const std::string& path) {
   WriterMutexLock lock(mu_);
   if (cache_ != nullptr) {
     for (const auto& segment : segments_) {
-      cache_->EraseSegment(segment->id());
+      cache_->EraseSegment(segment->cache_id());
     }
   }
   memtable_.Clear();
@@ -294,146 +420,128 @@ void Table::Delete(std::string_view partition_key, uint64_t clustering) {
   Put(partition_key, Column::Tombstone(clustering));
 }
 
-void Table::MergeColumns(std::map<uint64_t, Column>& base,
-                         std::vector<Column> newer) {
-  for (Column& c : newer) {
-    base[c.clustering] = std::move(c);  // newer overwrites older
+template <typename Visit>
+Status Table::ReadCells(std::string_view partition_key,
+                        std::optional<ClusteringRange> range, bool descending,
+                        ReadProbe* probe, Visit&& visit) const {
+  // Telemetry needs this read's probe deltas even when the caller passed
+  // no probe.
+  ReadProbe local;
+  ReadProbe before;
+  ReadClock::time_point t0;
+  if (instruments_ != nullptr) {
+    if (probe == nullptr) probe = &local;
+    before = *probe;
+    t0 = ReadClock::now();
   }
+  auto walk = [&]() -> Status {
+    if (range.has_value() && range->lo > range->hi) {
+      return Status::InvalidArgument("slice lo > hi");
+    }
+    ReaderMutexLock lock(mu_);
+    std::vector<SortedRun> runs;
+    bool found = false;
+    for (const auto& segment : segments_) {  // oldest -> newest
+      if (!segment->MayContain(partition_key)) {
+        if (probe != nullptr) ++probe->bloom_negatives;
+        continue;
+      }
+      if (probe != nullptr) ++probe->segments_consulted;
+      SortedRun run;
+      const Status read_run =
+          segment->ReadRun(partition_key, range, cache_, probe, &run.slices);
+      if (read_run.code() == StatusCode::kNotFound) continue;  // bloom FP
+      KV_RETURN_IF_ERROR(read_run);
+      found = true;
+      if (!run.slices.empty()) runs.push_back(std::move(run));
+    }
+    if (const MemtableCells* cells = memtable_.Find(partition_key)) {
+      found = true;
+      SortedRun run;
+      run.in_memtable = true;
+      run.first =
+          range.has_value() ? cells->lower_bound(range->lo) : cells->begin();
+      run.last =
+          range.has_value() ? cells->upper_bound(range->hi) : cells->end();
+      if (run.first != run.last) runs.push_back(std::move(run));
+    }
+    if (!found) return Status::NotFound(std::string(partition_key));
+    WalkRuns(runs, descending, /*keep_tombstones=*/false, visit);
+    return Status::Ok();
+  };
+  const Status status = walk();
+  if (instruments_ != nullptr) {
+    instruments_->RecordRead(ProbeDelta(before, *probe), ElapsedMicros(t0));
+    if (status.code() == StatusCode::kCorruption) {
+      instruments_->corruption_errors->Increment();
+    }
+  }
+  return status;
 }
 
 Result<std::vector<Column>> Table::GetPartition(std::string_view partition_key,
                                                 ReadProbe* probe) const {
-  if (instruments_ == nullptr) return GetPartitionImpl(partition_key, probe);
-  ReadProbe local;
-  ReadProbe* target = probe != nullptr ? probe : &local;
-  const ReadProbe before = *target;
-  const auto t0 = ReadClock::now();
-  auto result = GetPartitionImpl(partition_key, target);
-  instruments_->RecordRead(ProbeDelta(before, *target), ElapsedMicros(t0));
-  if (!result.ok() && result.status().code() == StatusCode::kCorruption) {
-    instruments_->corruption_errors->Increment();
-  }
-  return result;
-}
-
-Result<std::vector<Column>> Table::GetPartitionImpl(
-    std::string_view partition_key, ReadProbe* probe) const {
-  ReaderMutexLock lock(mu_);
-  std::map<uint64_t, Column> merged;
-  bool found = false;
-  for (const auto& segment : segments_) {  // oldest -> newest
-    if (!segment->MayContain(partition_key)) {
-      if (probe != nullptr) ++probe->bloom_negatives;
-      continue;
-    }
-    if (probe != nullptr) ++probe->segments_consulted;
-    auto cols = segment->GetPartition(partition_key, cache_, probe);
-    if (!cols.ok()) {
-      if (cols.status().code() == StatusCode::kNotFound) continue;  // bloom FP
-      return cols.status();
-    }
-    found = true;
-    MergeColumns(merged, std::move(cols).value());
-  }
-  if (memtable_.Contains(partition_key)) {
-    found = true;
-    MergeColumns(merged, memtable_.Get(partition_key));
-  }
-  if (!found) return Status::NotFound(std::string(partition_key));
-
   std::vector<Column> out;
-  out.reserve(merged.size());
-  for (auto& [clustering, column] : merged) {
-    if (column.tombstone) continue;  // shadowed by a delete
-    out.push_back(std::move(column));
-  }
+  KV_RETURN_IF_ERROR(ReadCells(partition_key, std::nullopt,
+                               /*descending=*/false, probe, AppendTo(&out)));
   return out;
 }
 
 Result<std::vector<Column>> Table::Slice(std::string_view partition_key,
                                          uint64_t lo, uint64_t hi,
                                          ReadProbe* probe) const {
-  if (instruments_ == nullptr) return SliceImpl(partition_key, lo, hi, probe);
-  ReadProbe local;
-  ReadProbe* target = probe != nullptr ? probe : &local;
-  const ReadProbe before = *target;
-  const auto t0 = ReadClock::now();
-  auto result = SliceImpl(partition_key, lo, hi, target);
-  instruments_->RecordRead(ProbeDelta(before, *target), ElapsedMicros(t0));
-  if (!result.ok() && result.status().code() == StatusCode::kCorruption) {
-    instruments_->corruption_errors->Increment();
-  }
-  return result;
-}
-
-Result<std::vector<Column>> Table::SliceImpl(std::string_view partition_key,
-                                             uint64_t lo, uint64_t hi,
-                                             ReadProbe* probe) const {
-  if (lo > hi) return Status::InvalidArgument("slice lo > hi");
-  ReaderMutexLock lock(mu_);
-  std::map<uint64_t, Column> merged;
-  bool found = false;
-  for (const auto& segment : segments_) {
-    if (!segment->MayContain(partition_key)) {
-      if (probe != nullptr) ++probe->bloom_negatives;
-      continue;
-    }
-    if (probe != nullptr) ++probe->segments_consulted;
-    auto cols = segment->Slice(partition_key, lo, hi, cache_, probe);
-    if (!cols.ok()) {
-      if (cols.status().code() == StatusCode::kNotFound) continue;
-      return cols.status();
-    }
-    found = true;
-    MergeColumns(merged, std::move(cols).value());
-  }
-  if (memtable_.Contains(partition_key)) {
-    found = true;
-    MergeColumns(merged, memtable_.Slice(partition_key, lo, hi));
-  }
-  if (!found) return Status::NotFound(std::string(partition_key));
-
   std::vector<Column> out;
-  out.reserve(merged.size());
-  for (auto& [clustering, column] : merged) {
-    if (column.tombstone) continue;
-    out.push_back(std::move(column));
-  }
+  KV_RETURN_IF_ERROR(ReadCells(partition_key, ClusteringRange{lo, hi},
+                               /*descending=*/false, probe, AppendTo(&out)));
   return out;
 }
 
 Result<TypeCounts> Table::CountByType(std::string_view partition_key,
                                       ReadProbe* probe) const {
-  auto columns = GetPartition(partition_key, probe);
-  if (!columns.ok()) return columns.status();
+  // Small type ids count into an array; a map insert per cell would cost
+  // more than the rest of the read.
+  std::array<uint64_t, 64> dense{};
   TypeCounts counts;
-  for (const Column& c : columns.value()) ++counts[c.type_id];
+  KV_RETURN_IF_ERROR(ReadCells(partition_key, std::nullopt,
+                               /*descending=*/false, probe,
+                               [&](const CellView& cell) {
+                                 if (cell.type_id < dense.size()) {
+                                   ++dense[cell.type_id];
+                                 } else {
+                                   ++counts[cell.type_id];
+                                 }
+                                 return true;
+                               }));
+  for (uint32_t type = 0; type < dense.size(); ++type) {
+    if (dense[type] > 0) counts[type] = dense[type];
+  }
   return counts;
 }
 
-Result<std::vector<Column>> Table::ScanRange(std::string_view partition_key,
-                                             uint64_t lo, uint64_t hi,
-                                             uint32_t limit,
-                                             ReadProbe* probe) const {
-  auto columns = Slice(partition_key, lo, hi, probe);
-  if (!columns.ok()) return columns.status();
-  // Slice returns ascending clustering order, so the first `limit` rows
-  // are the range's smallest — exactly what a bounded forward scan keeps.
-  if (limit > 0 && columns.value().size() > limit) {
-    columns.value().resize(limit);
-  }
-  return columns;
+Result<std::vector<CellHeader>> Table::ScanRange(
+    std::string_view partition_key, uint64_t lo, uint64_t hi, uint32_t limit,
+    ReadProbe* probe) const {
+  std::vector<CellHeader> rows;
+  KV_RETURN_IF_ERROR(ReadCells(partition_key, ClusteringRange{lo, hi},
+                               /*descending=*/false, probe,
+                               [&](const CellView& cell) {
+                                 rows.push_back({cell.clustering, cell.type_id});
+                                 return limit == 0 || rows.size() < limit;
+                               }));
+  return rows;
 }
 
-Result<std::vector<Column>> Table::TopKByClustering(
+Result<std::vector<CellHeader>> Table::TopKByClustering(
     std::string_view partition_key, uint32_t k, ReadProbe* probe) const {
   if (k == 0) return Status::InvalidArgument("top-k with k == 0");
-  auto columns = GetPartition(partition_key, probe);
-  if (!columns.ok()) return columns.status();
-  std::vector<Column>& cols = columns.value();
-  std::reverse(cols.begin(), cols.end());  // ascending -> descending
-  if (cols.size() > k) cols.resize(k);
-  return columns;
+  std::vector<CellHeader> rows;
+  KV_RETURN_IF_ERROR(ReadCells(partition_key, std::nullopt,
+                               /*descending=*/true, probe,
+                               [&](const CellView& cell) {
+                                 rows.push_back({cell.clustering, cell.type_id});
+                                 return rows.size() < k;
+                               }));
+  return rows;
 }
 
 bool Table::HasPartition(std::string_view partition_key) const {
@@ -456,7 +564,7 @@ void Table::Compact() {
   std::iota(all.begin(), all.end(), size_t{0});
   auto merged = MergeSegmentsLocked(all, /*purge_tombstones=*/true);
   if (cache_ != nullptr) {
-    for (const auto& segment : segments_) cache_->EraseSegment(segment->id());
+    for (const auto& segment : segments_) cache_->EraseSegment(segment->cache_id());
   }
   segments_.clear();
   if (merged->partition_count() > 0) segments_.push_back(std::move(merged));

@@ -2,14 +2,20 @@
 //
 // This is the per-node storage engine the simulated slaves conceptually run;
 // it is also used directly (in-process) by the calibration benches and the
-// examples. Reads merge the memtable with all segments, newest write wins on
-// (partition, clustering) collisions. Thread-safe: writes and structural
-// changes take an exclusive lock, reads a shared one.
+// examples. Every read goes through one core that visits the partition's
+// sorted runs in place: the segments' shared decoded blocks (oldest to
+// newest) and the memtable's map. One run is streamed; several are k-way
+// merged on the clustering key, the newest write winning on collisions and
+// tombstones skipped. The operators (CountByType, ScanRange,
+// TopKByClustering) read keys and types only and never copy a payload;
+// GetPartition and Slice materialise Columns. Thread-safe: writes and
+// structural changes take an exclusive lock, reads a shared one.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +51,13 @@ struct TableOptions {
 /// Count-by-type aggregation result: type id -> element count.
 using TypeCounts = std::map<uint32_t, uint64_t>;
 
+/// A cell without its payload: one row of ScanRange / TopKByClustering.
+struct CellHeader {
+  uint64_t clustering = 0;
+  uint32_t type_id = 0;
+  friend bool operator==(const CellHeader&, const CellHeader&) = default;
+};
+
 class Table {
  public:
   /// `cache` may be null (no block caching) and must outlive the table.
@@ -75,19 +88,19 @@ class Table {
   Result<TypeCounts> CountByType(std::string_view partition_key,
                                  ReadProbe* probe = nullptr) const;
 
-  /// Bounded range scan: columns with clustering key in [lo, hi],
-  /// ascending, truncated to the first `limit` rows (0 = unbounded).
+  /// Bounded range scan: cells with clustering key in [lo, hi],
+  /// ascending, stopping after the first `limit` rows (0 = unbounded).
   /// The per-node body of the kOpRangeScan operator — the limit caps
   /// what one node ships back; the master merges and re-limits.
-  Result<std::vector<Column>> ScanRange(std::string_view partition_key,
-                                        uint64_t lo, uint64_t hi,
-                                        uint32_t limit,
-                                        ReadProbe* probe = nullptr) const;
+  Result<std::vector<CellHeader>> ScanRange(std::string_view partition_key,
+                                            uint64_t lo, uint64_t hi,
+                                            uint32_t limit,
+                                            ReadProbe* probe = nullptr) const;
 
-  /// The `k` columns with the largest clustering keys, descending.
+  /// The `k` cells with the largest clustering keys, descending.
   /// The per-node body of the kOpTopK operator; the master k-way merges
   /// the per-partition candidates.
-  Result<std::vector<Column>> TopKByClustering(
+  Result<std::vector<CellHeader>> TopKByClustering(
       std::string_view partition_key, uint32_t k,
       ReadProbe* probe = nullptr) const;
 
@@ -136,17 +149,18 @@ class Table {
   uint64_t PartitionEncodedBytes(std::string_view partition_key) const;
 
  private:
-  /// Merges `newer` on top of `base` by clustering key.
-  static void MergeColumns(std::map<uint64_t, Column>& base,
-                           std::vector<Column> newer);
-
-  /// Uninstrumented read bodies; the public wrappers add wall-clock
-  /// timing + probe accounting when telemetry is attached.
-  Result<std::vector<Column>> GetPartitionImpl(std::string_view partition_key,
-                                               ReadProbe* probe) const;
-  Result<std::vector<Column>> SliceImpl(std::string_view partition_key,
-                                        uint64_t lo, uint64_t hi,
-                                        ReadProbe* probe) const;
+  /// The read core behind every read. Visits the live cells of one
+  /// partition — clustering key in `range`, or all — in clustering order
+  /// (descending if asked), merged newest-wins across segments and
+  /// memtable, tombstones skipped. `visit(const CellView&)` returns false to
+  /// stop early. Every block is read before the first visit, so an
+  /// error (NotFound if no source holds the partition, kCorruption for a
+  /// damaged block) comes before any cell. Records one read into the
+  /// telemetry, when attached.
+  template <typename Visit>
+  Status ReadCells(std::string_view partition_key,
+                   std::optional<ClusteringRange> range, bool descending,
+                   ReadProbe* probe, Visit&& visit) const;
 
   void FlushLocked() KV_REQUIRES(mu_);
 

@@ -62,10 +62,14 @@ std::string WireReader::ReadString() {
 }
 
 std::vector<std::byte> WireReader::ReadBytes() {
+  const auto view = ReadBytesView();
+  return {view.begin(), view.end()};
+}
+
+std::span<const std::byte> WireReader::ReadBytesView() {
   const uint64_t len = ReadVarint();
   if (!Ensure(len)) return {};
-  std::vector<std::byte> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                             data_.begin() + static_cast<ptrdiff_t>(pos_ + len));
+  const auto out = data_.subspan(pos_, len);
   pos_ += len;
   return out;
 }

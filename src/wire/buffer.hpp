@@ -70,6 +70,8 @@ class WireReader {
   int64_t ReadZigZag();
   std::string ReadString();
   std::vector<std::byte> ReadBytes();
+  /// ReadBytes without the copy: a view into the reader's buffer.
+  std::span<const std::byte> ReadBytesView();
 
   /// True while no decode error has occurred.
   bool ok() const { return ok_; }

@@ -77,10 +77,11 @@ TEST(SegmentTest, EmptyMemtableBuildsEmptySegment) {
   auto segment = Segment::Build(empty, 1, SegmentOptions{});
   EXPECT_EQ(segment->partition_count(), 0u);
   EXPECT_EQ(segment->block_count(), 0u);
-  EXPECT_EQ(segment->GetPartition("anything", nullptr, nullptr)
-                .status()
-                .code(),
-            StatusCode::kNotFound);
+  std::vector<BlockSlice> run;
+  EXPECT_EQ(
+      segment->ReadRun("anything", std::nullopt, nullptr, nullptr, &run)
+          .code(),
+      StatusCode::kNotFound);
 }
 
 TEST(TableTest, EmptyPartitionKeyIsAValidKey) {

@@ -9,6 +9,7 @@
 
 #include "store/local_store.hpp"
 #include "store/row.hpp"
+#include "store/segment.hpp"
 
 namespace kvscale {
 namespace {
@@ -137,6 +138,93 @@ TEST(StoreConcurrencyTest, CompactionDuringReads) {
   compactor.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(table.segment_count(), 1u);
+}
+
+TEST(StoreConcurrencyTest, HeldBlocksOutliveEvictionAndCompaction) {
+  // A cache of a few 1 KiB blocks: every read evicts someone's blocks.
+  BlockCache cache(8 * kKiB);
+  TableOptions options;
+  options.segment.block_size = 1 * kKiB;
+  options.compaction_min_segments = 0;
+  Table table("t", options, &cache);
+  Table noise("noise", options, &cache);
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t i = 0; i < 200; ++i) {
+      for (int p = 0; p < 4; ++p) {
+        table.Put("p" + std::to_string(p), MakeColumn(round * 1000 + i, p));
+        noise.Put("n" + std::to_string(p), MakeColumn(round * 1000 + i, 0));
+      }
+    }
+    table.Flush();
+    noise.Flush();
+  }
+  // A segment read outside any table: its reader holds the blocks
+  // itself, so the cache may evict them and erase the whole segment
+  // while they are still being read.
+  Memtable memtable;
+  for (uint64_t i = 0; i < 400; ++i) memtable.Put("s", MakeColumn(i, 3));
+  const auto segment = Segment::Build(memtable, 1, options.segment);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int iter = 0; iter < 150; ++iter) {
+        const std::string key = "p" + std::to_string((iter + t) % 4);
+        auto counts = table.CountByType(key);
+        if (!counts.ok() || counts.value().size() != 1 ||
+            counts.value().begin()->second != 600) {
+          ++failures;
+        }
+        auto top = table.TopKByClustering(key, 5);
+        if (!top.ok() || top.value().size() != 5 ||
+            top.value().front().clustering != 2199) {
+          ++failures;
+        }
+        auto scan = table.ScanRange(key, 1000, 1199, 0);
+        if (!scan.ok() || scan.value().size() != 200) ++failures;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int iter = 0; iter < 150; ++iter) {
+      std::vector<BlockSlice> held;
+      if (!segment->ReadRun("s", std::nullopt, &cache, nullptr, &held).ok()) {
+        ++failures;
+        continue;
+      }
+      std::this_thread::yield();  // let the others evict and erase
+      uint64_t expect = 0;
+      for (const BlockSlice& slice : held) {
+        for (uint32_t i = slice.begin; i < slice.end; ++i) {
+          if (slice.block->clustering[i] != expect++ ||
+              slice.block->type_id[i] != 3 ||
+              slice.block->payload(i).size() != 24) {
+            ++failures;
+          }
+        }
+      }
+      if (expect != 400) ++failures;
+    }
+  });
+  threads.emplace_back([&] {  // evicts: reads another table's partitions
+    for (uint64_t iter = 0; !stop.load(std::memory_order_relaxed); ++iter) {
+      if (!noise.CountByType("n" + std::to_string(iter % 4)).ok()) ++failures;
+      cache.EraseSegment(segment->cache_id());
+    }
+  });
+  threads.emplace_back([&] {  // every compaction erases the live segments
+    while (!stop.load(std::memory_order_relaxed)) {
+      table.Compact();
+      std::this_thread::yield();
+    }
+  });
+  for (size_t t = 0; t < 3; ++t) threads[t].join();
+  stop = true;
+  for (size_t t = 3; t < threads.size(); ++t) threads[t].join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(cache.used_bytes(), cache.capacity_bytes());
 }
 
 }  // namespace

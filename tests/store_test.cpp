@@ -6,9 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "store/block_cache.hpp"
 #include "store/bloom.hpp"
+#include "store/decoded_block.hpp"
 #include "store/local_store.hpp"
 #include "store/memtable.hpp"
 #include "store/row.hpp"
@@ -74,15 +76,6 @@ TEST(MemtableTest, OverwriteKeepsSingleColumn) {
   EXPECT_EQ(mt.column_count(), 1u);
 }
 
-TEST(MemtableTest, SliceBounds) {
-  Memtable mt;
-  for (uint64_t i = 0; i < 10; ++i) mt.Put("p", MakeColumn(i * 10, 0));
-  const auto cols = mt.Slice("p", 25, 60);
-  ASSERT_EQ(cols.size(), 4u);  // 30, 40, 50, 60
-  EXPECT_EQ(cols.front().clustering, 30u);
-  EXPECT_EQ(cols.back().clustering, 60u);
-}
-
 TEST(MemtableTest, ApproximateBytesGrowsAndClears) {
   Memtable mt;
   EXPECT_EQ(mt.approximate_bytes(), 0u);
@@ -126,18 +119,32 @@ SegmentOptions SmallBlockOptions() {
   return opt;
 }
 
+/// Cells in a run read by Segment::ReadRun.
+size_t CellCount(const std::vector<BlockSlice>& run) {
+  size_t cells = 0;
+  for (const BlockSlice& slice : run) cells += slice.end - slice.begin;
+  return cells;
+}
+
 TEST(SegmentTest, GetPartitionReturnsAllColumns) {
   Memtable mt;
   for (uint64_t i = 0; i < 200; ++i) mt.Put("p1", MakeColumn(i, i % 4));
   auto segment = Segment::Build(mt, 1, SmallBlockOptions());
   ReadProbe probe;
-  auto cols = segment->GetPartition("p1", nullptr, &probe);
-  ASSERT_TRUE(cols.ok());
-  EXPECT_EQ(cols.value().size(), 200u);
+  std::vector<BlockSlice> run;
+  ASSERT_TRUE(
+      segment->ReadRun("p1", std::nullopt, nullptr, &probe, &run).ok());
+  EXPECT_EQ(CellCount(run), 200u);
+  EXPECT_EQ(run.front().block->clustering[run.front().begin], 0u);
   EXPECT_GT(probe.blocks_decoded, 1u);  // small blocks => several decodes
+  EXPECT_EQ(probe.index_probes, 0u);    // whole-partition reads skip it
   EXPECT_EQ(probe.columns_returned, 200u);
-  EXPECT_EQ(segment->GetPartition("absent", nullptr, nullptr).status().code(),
-            StatusCode::kNotFound);
+  std::vector<BlockSlice> absent;
+  EXPECT_EQ(
+      segment->ReadRun("absent", std::nullopt, nullptr, nullptr, &absent)
+          .code(),
+      StatusCode::kNotFound);
+  EXPECT_TRUE(absent.empty());
 }
 
 TEST(SegmentTest, ColumnIndexOnlyAboveThreshold) {
@@ -163,9 +170,13 @@ TEST(SegmentTest, IndexedSliceDecodesFewerBlocks) {
   ASSERT_TRUE(segment->FindMeta("big")->has_column_index);
 
   ReadProbe narrow_probe;
-  auto narrow = segment->Slice("big", 10, 20, nullptr, &narrow_probe);
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_EQ(narrow.value().size(), 11u);
+  std::vector<BlockSlice> narrow;
+  ASSERT_TRUE(segment
+                  ->ReadRun("big", ClusteringRange{10, 20}, nullptr,
+                            &narrow_probe, &narrow)
+                  .ok());
+  EXPECT_EQ(CellCount(narrow), 11u);
+  EXPECT_EQ(narrow_probe.columns_returned, 11u);
   EXPECT_EQ(narrow_probe.index_probes, 1u);
   EXPECT_LT(narrow_probe.blocks_decoded,
             segment->FindMeta("big")->block_count);
@@ -181,9 +192,11 @@ TEST(SegmentTest, UnindexedSliceDecodesAllBlocks) {
   const auto* meta = segment->FindMeta("p");
   ASSERT_FALSE(meta->has_column_index);
   ReadProbe probe;
-  auto narrow = segment->Slice("p", 5, 6, nullptr, &probe);
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_EQ(narrow.value().size(), 2u);
+  std::vector<BlockSlice> narrow;
+  ASSERT_TRUE(
+      segment->ReadRun("p", ClusteringRange{5, 6}, nullptr, &probe, &narrow)
+          .ok());
+  EXPECT_EQ(CellCount(narrow), 2u);
   // The whole partition had to be decoded despite the tiny slice.
   EXPECT_EQ(probe.blocks_decoded, meta->block_count);
   EXPECT_EQ(probe.index_probes, 0u);
@@ -216,49 +229,129 @@ TEST(SegmentTest, BloomSkipsAbsentPartitions) {
   EXPECT_LT(false_positives, 2000 * 0.05);
 }
 
+/// Encodes then decodes `columns`: the block a segment read would cache.
+BlockPtr MakeBlock(const std::vector<Column>& columns) {
+  WireBuffer buf;
+  EncodeColumns(columns, buf);
+  auto block = DecodedBlock::Decode(buf.data());
+  KV_CHECK(block.ok());
+  return std::move(block).value();
+}
+
+std::vector<Column> ColumnsOf(const DecodedBlock& block) {
+  std::vector<Column> out;
+  for (size_t i = 0; i < block.size(); ++i) {
+    out.push_back(block.cell(i).ToColumn());
+  }
+  return out;
+}
+
+TEST(DecodedBlockTest, HoldsEveryCellInColumnArrays) {
+  std::vector<Column> cols{MakeColumn(1, 3), Column::Tombstone(2),
+                           MakeColumn(5, 1, 0), MakeColumn(9, 7, 200)};
+  const BlockPtr block = MakeBlock(cols);
+  EXPECT_EQ(ColumnsOf(*block), cols);
+  EXPECT_EQ(block->payload(2).size(), 0u);
+  EXPECT_GE(block->ChargeBytes(), sizeof(DecodedBlock) + 30 + 200);
+}
+
+TEST(DecodedBlockTest, RejectsMalformedBlocks) {
+  WireBuffer count;
+  count.WriteVarint(1000000);  // claims a million columns in 3 bytes
+  WireBuffer flags;
+  flags.WriteVarint(1);
+  flags.WriteVarint(4);
+  flags.WriteU8(7);  // neither value nor tombstone
+  WireBuffer truncated;
+  EncodeColumns({MakeColumn(1, 0, 40)}, truncated);
+  const auto bytes = truncated.data();
+  for (const auto data :
+       {count.data(), flags.data(), bytes.first(bytes.size() - 1)}) {
+    EXPECT_EQ(DecodedBlock::Decode(data).status().code(),
+              StatusCode::kCorruption);
+    // DecodeColumns is built on the same parser.
+    EXPECT_EQ(DecodeColumns(data).status().code(), StatusCode::kCorruption);
+  }
+}
+
 TEST(BlockCacheTest, HitAfterInsert) {
   BlockCache cache(1 * kMiB);
-  std::vector<Column> block{MakeColumn(1, 0), MakeColumn(2, 1)};
+  std::vector<Column> columns{MakeColumn(1, 0), MakeColumn(2, 1)};
+  const BlockPtr block = MakeBlock(columns);
   cache.Insert(7, 0, block);
-  std::vector<Column> out;
-  EXPECT_TRUE(cache.Lookup(7, 0, &out));
-  EXPECT_EQ(out, block);
-  EXPECT_FALSE(cache.Lookup(7, 1, &out));
+  const BlockPtr out = cache.Lookup(7, 0);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out.get(), block.get());  // a hit shares the block, no copy
+  EXPECT_EQ(ColumnsOf(*out), columns);
+  EXPECT_EQ(cache.Lookup(7, 1), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
+  EXPECT_EQ(cache.used_bytes(), block->ChargeBytes());
 }
 
 TEST(BlockCacheTest, EvictsLeastRecentlyUsed) {
-  BlockCache cache(640);  // fits two ~300-byte blocks, not three
-  std::vector<Column> block{MakeColumn(1, 0, 200)};
+  const BlockPtr block = MakeBlock({MakeColumn(1, 0, 200)});
+  const size_t charge = block->ChargeBytes();
+  BlockCache cache(2 * charge + charge / 2);  // fits two blocks, not three
   cache.Insert(1, 0, block);
   cache.Insert(1, 1, block);
-  std::vector<Column> out;
-  ASSERT_TRUE(cache.Lookup(1, 0, &out));  // promote block 0
-  cache.Insert(1, 2, block);              // must evict block 1
-  EXPECT_TRUE(cache.Lookup(1, 0, &out));
-  EXPECT_FALSE(cache.Lookup(1, 1, &out));
-  EXPECT_TRUE(cache.Lookup(1, 2, &out));
+  EXPECT_EQ(cache.used_bytes(), 2 * charge);
+  ASSERT_NE(cache.Lookup(1, 0), nullptr);  // promote block 0
+  cache.Insert(1, 2, block);               // must evict block 1
+  EXPECT_NE(cache.Lookup(1, 0), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 1), nullptr);
+  EXPECT_NE(cache.Lookup(1, 2), nullptr);
+  EXPECT_EQ(cache.used_bytes(), 2 * charge);
 }
 
 TEST(BlockCacheTest, OversizedBlockNotCached) {
   BlockCache cache(100);
   std::vector<Column> huge;
   for (int i = 0; i < 100; ++i) huge.push_back(MakeColumn(i, 0, 100));
-  cache.Insert(1, 0, huge);
+  cache.Insert(1, 0, MakeBlock(huge));
   EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
 TEST(BlockCacheTest, EraseSegmentDropsOnlyThatSegment) {
   BlockCache cache(1 * kMiB);
-  std::vector<Column> block{MakeColumn(1, 0)};
+  const BlockPtr block = MakeBlock({MakeColumn(1, 0)});
   cache.Insert(1, 0, block);
   cache.Insert(2, 0, block);
   cache.EraseSegment(1);
-  std::vector<Column> out;
-  EXPECT_FALSE(cache.Lookup(1, 0, &out));
-  EXPECT_TRUE(cache.Lookup(2, 0, &out));
+  EXPECT_EQ(cache.Lookup(1, 0), nullptr);
+  EXPECT_NE(cache.Lookup(2, 0), nullptr);
+  EXPECT_EQ(cache.used_bytes(), block->ChargeBytes());
+}
+
+TEST(BlockCacheTest, UsedBytesIsTheSumOfBlockCharges) {
+  std::vector<BlockPtr> blocks;
+  for (int b = 0; b < 6; ++b) {
+    std::vector<Column> columns;
+    for (int i = 0; i <= b * 3; ++i) {
+      columns.push_back(MakeColumn(i, 0, 10 + 20 * b));
+    }
+    blocks.push_back(MakeBlock(columns));
+  }
+  const size_t largest = blocks.back()->ChargeBytes();
+  BlockCache cache(2 * largest);  // too small for all six: forces eviction
+  auto charged = [&cache, &blocks] {
+    size_t sum = 0;
+    for (uint32_t b = 0; b < blocks.size(); ++b) {
+      // Lookup promotes, which does not change what is charged.
+      if (cache.Lookup(b % 2, b) != nullptr) sum += blocks[b]->ChargeBytes();
+    }
+    return sum;
+  };
+  for (uint32_t b = 0; b < blocks.size(); ++b) {
+    cache.Insert(b % 2, b, blocks[b]);
+    EXPECT_EQ(cache.used_bytes(), charged()) << "after insert " << b;
+  }
+  EXPECT_LT(cache.entry_count(), blocks.size());
+  EXPECT_LE(cache.used_bytes(), cache.capacity_bytes());
+  cache.EraseSegment(1);
+  EXPECT_EQ(cache.used_bytes(), charged());
 }
 
 TableOptions SmallTableOptions() {
@@ -585,6 +678,30 @@ TEST(LocalStoreTest, FlushAllFlushesEveryTable) {
   store.FlushAll();
   EXPECT_EQ(store.GetOrCreateTable("a").segment_count(), 1u);
   EXPECT_EQ(store.GetOrCreateTable("b").segment_count(), 1u);
+}
+
+TEST(LocalStoreTest, TablesDoNotShareCachedBlocks) {
+  LocalStore store;  // both tables read through the store's one cache
+  Table& a = store.GetOrCreateTable("a");
+  Table& b = store.GetOrCreateTable("b");
+  for (uint64_t i = 0; i < 100; ++i) {
+    a.Put("p", MakeColumn(i, 1));
+    b.Put("p", MakeColumn(i, 2));
+  }
+  store.FlushAll();  // each table's only segment is its segment 1
+  for (int round = 0; round < 2; ++round) {  // round 1 reads warm
+    auto from_a = a.GetPartition("p");
+    auto from_b = b.GetPartition("p");
+    ASSERT_TRUE(from_a.ok());
+    ASSERT_TRUE(from_b.ok());
+    ASSERT_EQ(from_a.value().size(), 100u);
+    ASSERT_EQ(from_b.value().size(), 100u);
+    for (const Column& c : from_a.value()) EXPECT_EQ(c.type_id, 1u);
+    for (const Column& c : from_b.value()) EXPECT_EQ(c.type_id, 2u);
+    EXPECT_EQ(a.CountByType("p").value(), (TypeCounts{{1, 100}}));
+    EXPECT_EQ(b.CountByType("p").value(), (TypeCounts{{2, 100}}));
+  }
+  EXPECT_GT(store.cache()->hits(), 0u);
 }
 
 TEST(LocalStoreTest, ZeroCacheBytesDisablesCache) {

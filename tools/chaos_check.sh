@@ -17,7 +17,7 @@ export UBSAN_OPTIONS="print_stacktrace=1"
 # The suites that exercise fault injection, failover, torn WALs, and the
 # concurrent gather paths.
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'FaultInjector|ClusterFaultTolerance|CommitLog|InProcessCluster|ReplicatedSim|StoreConcurrency|Membership|MigrationFault|QueryPlan|BoxQuery|WireFuzz|WritePath'
+  -R 'FaultInjector|ClusterFaultTolerance|CommitLog|InProcessCluster|ReplicatedSim|StoreConcurrency|StoreReadPath|Membership|MigrationFault|QueryPlan|BoxQuery|WireFuzz|WritePath'
 
 # One sanitized end-to-end chaos run: replication 3, a dead node, flaky
 # reads, and corrupted segment blocks must still produce a full answer.

@@ -19,7 +19,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # message-vs-direct parity (including the chaos run), parallel gathers,
 # and concurrent store reads.
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath'
+  -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|StoreReadPath|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath'
 
 # One sanitized end-to-end run over the wire: batched compact frames,
 # multiple workers per node, chaos on top.
