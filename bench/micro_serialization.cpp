@@ -9,8 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "wire/codec.hpp"
+#include "wire/envelope.hpp"
 #include "wire/messages.hpp"
 #include "wire/serializer_model.hpp"
 
@@ -105,6 +107,71 @@ void BM_CompactEncodeResult(benchmark::State& state) {
   state.counters["bytes"] = static_cast<double>(buf.size());
 }
 BENCHMARK(BM_CompactEncodeResult);
+
+/// `n` count replies shaped like the `fine` workload's (10 elements over
+/// 8 type ids), ascending sub_ids as one node's share of a gather.
+std::vector<SubQueryReply> CountReplies(size_t n) {
+  std::vector<SubQueryReply> replies(n);
+  for (size_t i = 0; i < n; ++i) {
+    SubQueryReply& reply = replies[i];
+    reply.query_id = 77;
+    reply.sub_id = static_cast<uint32_t>(4 * i);
+    reply.node = 2;
+    for (uint64_t t = 0; t < 8; ++t) {
+      reply.type_ids.push_back(t);
+      reply.counts.push_back(t < 2 ? 2 : 1);
+    }
+    reply.db_micros = 3.5;
+  }
+  return replies;
+}
+
+// One reply frame per sub-query: encode and decode `n` single-reply
+// frames (how every reply travelled before replies were frame-granular).
+void BM_ReplyFramesPerItem(benchmark::State& state) {
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  const auto replies = CountReplies(static_cast<size_t>(state.range(0)));
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    bytes = 0;
+    for (const SubQueryReply& reply : replies) {
+      WireBuffer frame;
+      EncodeReplyFrame(reply, 0, 0, WireCodecKind::kCompact, codec, frame);
+      auto decoded =
+          DecodeReplyFrame(frame.data(), WireCodecKind::kCompact, codec, 77);
+      benchmark::DoNotOptimize(decoded);
+      bytes += frame.size();
+    }
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ReplyFramesPerItem)->Arg(1000);
+
+// One reply frame answering a request frame of `n` items: encode and
+// decode it once.
+void BM_ReplyFrameBatched(benchmark::State& state) {
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  const auto replies = CountReplies(static_cast<size_t>(state.range(0)));
+  const std::vector<uint32_t> attempts(replies.size(), 0);
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    WireBuffer frame;
+    EncodeReplyBatch(replies, attempts, 0, WireCodecKind::kCompact, codec,
+                     frame);
+    auto decoded =
+        DecodeReplyBatch(frame.data(), WireCodecKind::kCompact, codec, 77);
+    benchmark::DoNotOptimize(decoded);
+    bytes = frame.size();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ReplyFrameBatched)->Arg(1000);
 
 }  // namespace
 }  // namespace kvscale

@@ -67,7 +67,12 @@ void BM_CountByTypeCached(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(elements));
 }
-BENCHMARK(BM_CountByTypeCached)->Arg(100)->Arg(1000)->Arg(10000);
+// Arg(10) is the `fine` workload's row: per-read fixed costs dominate.
+BENCHMARK(BM_CountByTypeCached)
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000);
 
 // The warm count over a partition spread across 4 segments plus the
 // memtable (compaction off): every read merges five sorted runs.
@@ -171,7 +176,7 @@ void BM_Compaction(benchmark::State& state) {
       table.Flush();
     }
     state.ResumeTiming();
-    table.Compact();
+    if (!table.Compact().ok()) state.SkipWithError("compaction failed");
   }
 }
 BENCHMARK(BM_Compaction);

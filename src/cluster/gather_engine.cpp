@@ -240,18 +240,28 @@ std::shared_ptr<NodeRuntime> InProcessCluster::EnsureRuntime(
   rt_options.on_admission_full = options.admission_policy;
   runtime_ = std::make_shared<NodeRuntime>(
       node_count(), rt_options,
-      [this](uint32_t node, const SubQueryRequest& req,
-             ReadProbe* probe) -> Result<OperatorResult> {
+      [this](uint32_t node, const std::string& table) -> ItemServer {
+        // One resolution per frame: the store's shared_ptr rides in the
+        // item server, keeping the table alive while the frame's items
+        // run, and a failed lookup refuses each of them the same way.
         std::shared_ptr<LocalStore> store = NodePtr(node);
-        if (store == nullptr) {
-          return Status::Unavailable("node " + std::to_string(node) +
-                                     " has no store");
+        Result<Table*> found =
+            store != nullptr ? store->FindTable(table)
+                             : Result<Table*>(Status::Unavailable(
+                                   "node " + std::to_string(node) +
+                                   " has no store"));
+        if (!found.ok()) {
+          return [status = found.status()](const SubQueryRequest&,
+                                           ReadProbe*) {
+            return Result<OperatorResult>(status);
+          };
         }
-        auto found = store->FindTable(req.table);
-        if (!found.ok()) return found.status();
         // Operator dispatch: the request names what to run; the worker
         // has no query-type knowledge of its own.
-        return ExecuteOperator(*found.value(), req, probe);
+        return [store = std::move(store), t = found.value()](
+                   const SubQueryRequest& req, ReadProbe* probe) {
+          return ExecuteOperator(*t, req, probe);
+        };
       },
       codec_registry_, injector_, metrics_, spans_,
       [this](uint32_t node, const WriteBatch& batch, NodeRuntime& self) {
@@ -425,17 +435,11 @@ GatherResult InProcessCluster::GatherParallel(const QueryPlan& plan,
     return GatherMessage(plan, scaled);
   }
   const auto t0 = std::chrono::steady_clock::now();
-  // Resolve every replica set up front (cheap), snapshotting the epoch
-  // *before* each resolution so a worker's retry can tell whether its
-  // set predates a concurrent membership flip.
-  std::vector<std::vector<NodeId>> replica_sets;
-  std::vector<uint64_t> replica_epochs;
-  replica_sets.reserve(plan.partitions.size());
-  replica_epochs.reserve(plan.partitions.size());
-  for (const PlanPartition& part : plan.partitions) {
-    replica_epochs.push_back(ring_epoch());
-    replica_sets.push_back(ReplicasOf(part.part.key));
-  }
+  // Resolve every replica set up front, snapshotting the epoch *before*
+  // the resolution so a worker's retry can tell whether its set predates
+  // a concurrent membership flip.
+  const uint64_t epoch = ring_epoch();
+  const std::vector<std::vector<NodeId>> replica_sets = ReplicaSetsOf(plan);
 
   // The fold is shared: workers settle disjoint sub-query indices, so
   // row buffering never races; count folds land in worker partials.
@@ -459,9 +463,9 @@ GatherResult InProcessCluster::GatherParallel(const QueryPlan& plan,
   }
   const uint32_t slots = node_count();
   for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([this, &plan, &replica_sets, &replica_epochs,
-                          &partials, &clocks, &options, &fold, t, threads,
-                          total, slots] {
+    workers.emplace_back([this, &plan, &replica_sets, epoch, &partials,
+                          &clocks, &options, &fold, t, threads, total,
+                          slots] {
       GatherResult& local = partials[t];
       local.requests_per_node.assign(slots, 0);
       local.probes_per_node.assign(slots, ReadProbe{});
@@ -471,8 +475,8 @@ GatherResult InProcessCluster::GatherParallel(const QueryPlan& plan,
         worker_span = spans_->StartSpan("worker", master_track() + 1 + t);
       }
       for (size_t i = t; i < total; i += threads) {
-        ExecuteSubQuery(plan, i, replica_sets[i], replica_epochs[i], options,
-                        fold, local, clocks[t]);
+        ExecuteSubQuery(plan, i, replica_sets[i], epoch, options, fold,
+                        local, clocks[t]);
       }
     });
   }
@@ -588,14 +592,18 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
     std::chrono::steady_clock::time_point t0;
   };
   std::vector<Pending> subs(total);
+  // Every replica set under one routing-lock acquisition, the epoch read
+  // before it (a flip in between makes a retry re-resolve).
+  const uint64_t epoch = ring_epoch();
+  std::vector<std::vector<NodeId>> replica_sets = ReplicaSetsOf(plan);
   for (size_t i = 0; i < total; ++i) {
     SubQueryFailover& failover = subs[i].failover;
     failover.cluster = this;
     failover.options = &options;
     failover.result = &result;
     failover.key = &plan.partitions[i].part.key;
-    failover.epoch = ring_epoch();
-    failover.replicas = ReplicasOf(*failover.key);
+    failover.epoch = epoch;
+    failover.replicas = std::move(replica_sets[i]);
     failover.runtime = runtime.get();
     failover.query_id = query_id;
   }
@@ -818,7 +826,7 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
         span.End();
       }
       if (sent.ok()) {
-        for (size_t k = 0; k < items.size(); ++k) RecordDispatch(n);
+        RecordDispatch(n, items.size());
         outstanding += items.size();
         continue;
       }
@@ -832,75 +840,80 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
     }
   }
 
-  // Collect: decode replies as they land, folding answers and failing
-  // unanswered sub-queries over until every one is settled. AwaitReply
-  // only ever surfaces this query's replies — concurrent gathers drain
-  // their own channels.
+  // Collect: decode reply frames as they land, folding answers and
+  // failing unanswered sub-queries over until every one is settled. A
+  // frame carries one reply per item of the request frame it answers.
+  // AwaitReply only ever surfaces this query's replies — concurrent
+  // gathers drain their own channels.
   while (outstanding > 0) {
-    NodeRuntime::DecodedReply r = runtime->AwaitReply(query_id);
-    --outstanding;
-    const size_t i = r.sub_id;
-    KV_CHECK(i < total);
-    // The flow's terminus: the reply span covers this reply's fold (or
-    // failover decision) and closes the arrow the dispatch span opened —
-    // but only when the wire actually carried the sampled bit back.
-    SpanTracer::Scope reply_span;
-    if (sampled && (r.trace_flags & kTraceSampled) != 0) {
-      reply_span = spans_->StartSpan("reply", master_track());
-      reply_span.Attr("sub", std::to_string(r.sub_id));
-      reply_span.Attr("node", std::to_string(r.node));
-      reply_span.Attr("attempt", std::to_string(r.attempt));
-      reply_span.Flow(TraceFlowId(query_id, r.sub_id, r.attempt),
-                      FlowPhase::kFinish);
-    }
-    if (r.store_read) {
-      if (!timeline.empty()) {
-        SubQueryTimelineEntry& entry = timeline[i];
-        entry.node = r.node;
-        entry.issued_us = r.issued_us;
-        entry.received_us = r.received_us;
-        entry.db_start_us = r.db_start_us;
-        entry.db_end_us = r.db_end_us;
+    std::vector<NodeRuntime::DecodedReply> frame =
+        runtime->AwaitReply(query_id);
+    KV_CHECK(frame.size() <= outstanding);
+    outstanding -= frame.size();
+    for (NodeRuntime::DecodedReply& r : frame) {
+      const size_t i = r.sub_id;
+      KV_CHECK(i < total);
+      // The flow's terminus: the reply span covers this reply's fold (or
+      // failover decision) and closes the arrow the dispatch span opened
+      // — but only when the wire actually carried the sampled bit back.
+      SpanTracer::Scope reply_span;
+      if (sampled && (r.trace_flags & kTraceSampled) != 0) {
+        reply_span = spans_->StartSpan("reply", master_track());
+        reply_span.Attr("sub", std::to_string(r.sub_id));
+        reply_span.Attr("node", std::to_string(r.node));
+        reply_span.Attr("attempt", std::to_string(r.attempt));
+        reply_span.Flow(TraceFlowId(query_id, r.sub_id, r.attempt),
+                        FlowPhase::kFinish);
       }
-      EnsureSlot(result.requests_per_node, r.node);
-      EnsureSlot(result.probes_per_node, r.node);
-      ++result.requests_per_node[r.node];
-      result.probes_per_node[r.node].MergeFrom(r.probe);
-      if (stage_tracer_ != nullptr) {
-        RequestTrace trace;
-        trace.query_id = query_id;
-        trace.sub_id = r.sub_id;
-        trace.node = r.node;
-        trace.keysize =
-            static_cast<double>(plan.partitions[i].part.elements);
-        trace.issued = r.issued_us;
-        trace.received = r.received_us;
-        trace.db_start = r.db_start_us;
-        trace.db_end = r.db_end_us;
-        trace.completed = runtime->now_us();
-        stage_tracer_->Record(trace);
+      if (r.store_read) {
+        if (!timeline.empty()) {
+          SubQueryTimelineEntry& entry = timeline[i];
+          entry.node = r.node;
+          entry.issued_us = r.issued_us;
+          entry.received_us = r.received_us;
+          entry.db_start_us = r.db_start_us;
+          entry.db_end_us = r.db_end_us;
+        }
+        EnsureSlot(result.requests_per_node, r.node);
+        EnsureSlot(result.probes_per_node, r.node);
+        ++result.requests_per_node[r.node];
+        result.probes_per_node[r.node].MergeFrom(r.probe);
+        if (stage_tracer_ != nullptr) {
+          RequestTrace trace;
+          trace.query_id = query_id;
+          trace.sub_id = r.sub_id;
+          trace.node = r.node;
+          trace.keysize =
+              static_cast<double>(plan.partitions[i].part.elements);
+          trace.issued = r.issued_us;
+          trace.received = r.received_us;
+          trace.db_start = r.db_start_us;
+          trace.db_end = r.db_end_us;
+          trace.completed = runtime->now_us();
+          stage_tracer_->Record(trace);
+        }
       }
-    }
-    StatusCode code = StatusCode::kCorruption;  // unreadable reply frame
-    if (r.reply.ok()) code = static_cast<StatusCode>(r.reply.value().status);
-    if (code == StatusCode::kOk) {
-      // The reply's paired u64 vectors are the operator's result columns;
-      // hand them to the fold exactly as the direct path would.
-      OperatorResult columns;
-      columns.col_a = std::move(r.reply.value().type_ids);
-      columns.col_b = std::move(r.reply.value().counts);
-      resolve(i, /*answered=*/true, &columns);
-    } else if (code == StatusCode::kNotFound) {
-      // Authoritative miss, exactly as on the direct path.
-      resolve(i, /*answered=*/true, nullptr);
-    } else {
-      // A shed (kResourceExhausted) is the deadline's doing, not the
-      // node's: it retries without an error tally, and the deadline
-      // check inside the failover loop settles its fate.
-      if (code != StatusCode::kResourceExhausted) {
-        subs[i].failover.RecordError(r.node);
+      StatusCode code = StatusCode::kCorruption;  // unreadable reply frame
+      if (r.reply.ok()) code = static_cast<StatusCode>(r.reply.value().status);
+      if (code == StatusCode::kOk) {
+        // The reply's paired u64 vectors are the operator's result
+        // columns; hand them to the fold exactly as the direct path would.
+        OperatorResult columns;
+        columns.col_a = std::move(r.reply.value().type_ids);
+        columns.col_b = std::move(r.reply.value().counts);
+        resolve(i, /*answered=*/true, &columns);
+      } else if (code == StatusCode::kNotFound) {
+        // Authoritative miss, exactly as on the direct path.
+        resolve(i, /*answered=*/true, nullptr);
+      } else {
+        // A shed (kResourceExhausted) is the deadline's doing, not the
+        // node's: it retries without an error tally, and the deadline
+        // check inside the failover loop settles its fate.
+        if (code != StatusCode::kResourceExhausted) {
+          subs[i].failover.RecordError(r.node);
+        }
+        if (try_dispatch(i, nullptr)) ++outstanding;
       }
-      if (try_dispatch(i, nullptr)) ++outstanding;
     }
   }
 

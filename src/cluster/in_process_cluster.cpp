@@ -201,6 +201,22 @@ FaultInjector& InProcessCluster::fault_injector() { return *injector_; }
 std::vector<NodeId> InProcessCluster::ReplicasOf(
     std::string_view partition_key) {
   MutexLock lock(route_mu_);
+  return ReplicasOfLocked(partition_key);
+}
+
+std::vector<std::vector<NodeId>> InProcessCluster::ReplicaSetsOf(
+    const QueryPlan& plan) {
+  std::vector<std::vector<NodeId>> sets;
+  sets.reserve(plan.partitions.size());
+  MutexLock lock(route_mu_);
+  for (const PlanPartition& part : plan.partitions) {
+    sets.push_back(ReplicasOfLocked(part.part.key));
+  }
+  return sets;
+}
+
+const std::vector<NodeId>& InProcessCluster::ReplicasOfLocked(
+    std::string_view partition_key) {
   auto it = directory_.find(partition_key);
   if (it != directory_.end()) return it->second;
   std::vector<NodeId> replicas;
@@ -223,9 +239,9 @@ NodeId InProcessCluster::OwnerOf(std::string_view partition_key) {
   return ReplicasOf(partition_key).front();
 }
 
-void InProcessCluster::RecordDispatch(NodeId node) {
+void InProcessCluster::RecordDispatch(NodeId node, uint64_t count) {
   MutexLock lock(route_mu_);
-  placement_.OnDispatch(node);
+  placement_.OnDispatch(node, count);
 }
 
 std::vector<int64_t> InProcessCluster::PlacementLoad() const {

@@ -554,11 +554,20 @@ class InProcessCluster {
   /// captured pointers (telemetry / injector).
   void InvalidateRuntime();
 
-  /// Load feedback at an actual dispatch site: a read attempt or a
-  /// replica write was issued against `node`. This is what the
-  /// load-aware placement policies consume, so *repeat* traffic keeps
-  /// moving the signal (a directory hit no longer freezes it).
-  void RecordDispatch(NodeId node);
+  /// Load feedback at an actual dispatch site: `count` read attempts or
+  /// replica writes were issued against `node` (a batched frame records
+  /// its items at once). This is what the load-aware placement policies
+  /// consume, so *repeat* traffic keeps moving the signal (a directory
+  /// hit no longer freezes it).
+  void RecordDispatch(NodeId node, uint64_t count = 1);
+
+  /// ReplicasOf for every partition of `plan`, in plan order, under one
+  /// route_mu_ acquisition.
+  std::vector<std::vector<NodeId>> ReplicaSetsOf(const QueryPlan& plan);
+
+  /// ReplicasOf's body: the directory entry, created on first lookup.
+  const std::vector<NodeId>& ReplicasOfLocked(std::string_view partition_key)
+      KV_REQUIRES(route_mu_);
 
   /// Applies one write batch to `node`'s store — the one body both
   /// write transports share (write_path.cpp). Mirrors the message

@@ -36,10 +36,31 @@ double NanosToMicros(uint64_t nanos) {
   return static_cast<double>(nanos) / 1000.0;
 }
 
+/// A frame binding with nothing to resolve: every item calls `handler`
+/// with its node.
+FrameHandler PerItem(SubQueryHandler handler) {
+  KV_CHECK(handler != nullptr);
+  auto shared = std::make_shared<SubQueryHandler>(std::move(handler));
+  return [shared](uint32_t node, const std::string&) -> ItemServer {
+    return [shared, node](const SubQueryRequest& request, ReadProbe* probe) {
+      return (*shared)(node, request, probe);
+    };
+  };
+}
+
 }  // namespace
 
 NodeRuntime::NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
                          SubQueryHandler handler, const CompactCodec& registry,
+                         FaultInjector* injector, MetricsRegistry* metrics,
+                         SpanTracer* spans, WriteBatchHandler write_handler,
+                         MaintenanceHandler maintenance_handler)
+    : NodeRuntime(nodes, options, PerItem(std::move(handler)), registry,
+                  injector, metrics, spans, std::move(write_handler),
+                  std::move(maintenance_handler)) {}
+
+NodeRuntime::NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
+                         FrameHandler handler, const CompactCodec& registry,
                          FaultInjector* injector, MetricsRegistry* metrics,
                          SpanTracer* spans, WriteBatchHandler write_handler,
                          MaintenanceHandler maintenance_handler)
@@ -416,130 +437,138 @@ void NodeRuntime::WorkerLoop(uint32_t node) {
       continue;
     }
 
-    const Micros decode_start = NowMicros();
-    auto decoded = DecodeSubQueryBatch(env.frame, env.query->codec, registry_);
-    const Micros decode_us = NowMicros() - decode_start;
-    const uint64_t decode_nanos = MicrosToNanos(decode_us);
-    decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-    env.query->decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-    if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
-
-    // Node-side observability runs off the *decoded wire context*, not
-    // the in-memory transport metadata: a frame is only traced when its
-    // envelope carried the sampled bit across the (simulated) wire.
-    const bool sampled = decoded.ok() && spans_ != nullptr &&
-                         (decoded.value().trace_flags & kTraceSampled) != 0;
-    if (sampled) {
-      // The frame-level stages, flow-linked to the first sub-query they
-      // served (queue residency and decode are per-frame, not per-item).
-      const uint64_t frame_flow =
-          TraceFlowId(decoded.value().query_id,
-                      decoded.value().requests.front().sub_id,
-                      decoded.value().attempts.front());
-      Span queue_span;
-      queue_span.name = "queue-wait";
-      queue_span.track = node;
-      queue_span.start_us = spans_->NowMicros() - decode_us - wait_us;
-      queue_span.duration_us = wait_us;
-      queue_span.flow_id = frame_flow;
-      queue_span.flow_phase = FlowPhase::kStep;
-      queue_span.attributes.emplace_back(
-          "query", std::to_string(decoded.value().query_id));
-      spans_->Record(std::move(queue_span));
-      Span decode_span;
-      decode_span.name = "decode";
-      decode_span.track = node;
-      decode_span.start_us = spans_->NowMicros() - decode_us;
-      decode_span.duration_us = decode_us;
-      decode_span.flow_id = frame_flow;
-      decode_span.flow_phase = FlowPhase::kStep;
-      decode_span.attributes.emplace_back(
-          "query", std::to_string(decoded.value().query_id));
-      decode_span.attributes.emplace_back(
-          "items", std::to_string(decoded.value().requests.size()));
-      spans_->Record(std::move(decode_span));
-    }
-
-    for (size_t i = 0; i < env.sub_ids.size(); ++i) {
-      Status transport = Status::Ok();
-      const SubQueryRequest* request = nullptr;
-      if (!decoded.ok()) {
-        transport = decoded.status();
-      } else if (decoded.value().requests.size() != env.sub_ids.size() ||
-                 decoded.value().requests[i].sub_id != env.sub_ids[i] ||
-                 decoded.value().attempts[i] != env.attempts[i]) {
-        transport = Status::Corruption(
-            "batch does not match its transport metadata");
-      } else {
-        request = &decoded.value().requests[i];
-      }
-      SubQueryRequest fallback;
-      if (request == nullptr) {
-        fallback.query_id = env.query->query_id;
-        fallback.sub_id = env.sub_ids[i];
-        request = &fallback;
-      }
-      const uint8_t wire_flags =
-          decoded.ok() ? decoded.value().trace_flags : env.query->trace_flags;
-      ServeOne(node, *request, env, i, transport, wire_flags);
-    }
+    ServeReads(node, env, wait_us);
   }
 }
 
-void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
-                           const RequestEnvelope& env, size_t item,
-                           Status transport, uint8_t wire_trace_flags) {
+void NodeRuntime::ServeReads(uint32_t node, const RequestEnvelope& env,
+                             Micros wait_us) {
   QueryState& query = *env.query;
+  const Micros decode_start = NowMicros();
+  auto decoded = DecodeSubQueryBatch(env.frame, query.codec, registry_);
+  const Micros decode_us = NowMicros() - decode_start;
+  const uint64_t decode_nanos = MicrosToNanos(decode_us);
+  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
+  query.decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
+  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+
+  // Node-side observability runs off the *decoded wire context*, not
+  // the in-memory transport metadata: a frame is only traced when its
+  // envelope carried the sampled bit across the (simulated) wire.
+  const bool sampled = decoded.ok() && spans_ != nullptr &&
+                       (decoded.value().trace_flags & kTraceSampled) != 0;
+  // The frame-level stages (queue residency, decode, reply encode) are
+  // flow-linked to the first sub-query the frame served.
+  const uint64_t frame_flow =
+      sampled ? TraceFlowId(decoded.value().query_id,
+                            decoded.value().requests.front().sub_id,
+                            decoded.value().attempts.front())
+              : 0;
+  if (sampled) {
+    Span queue_span;
+    queue_span.name = "queue-wait";
+    queue_span.track = node;
+    queue_span.start_us = spans_->NowMicros() - decode_us - wait_us;
+    queue_span.duration_us = wait_us;
+    queue_span.flow_id = frame_flow;
+    queue_span.flow_phase = FlowPhase::kStep;
+    queue_span.attributes.emplace_back(
+        "query", std::to_string(decoded.value().query_id));
+    spans_->Record(std::move(queue_span));
+    Span decode_span;
+    decode_span.name = "decode";
+    decode_span.track = node;
+    decode_span.start_us = spans_->NowMicros() - decode_us;
+    decode_span.duration_us = decode_us;
+    decode_span.flow_id = frame_flow;
+    decode_span.flow_phase = FlowPhase::kStep;
+    decode_span.attributes.emplace_back(
+        "query", std::to_string(decoded.value().query_id));
+    decode_span.attributes.emplace_back(
+        "items", std::to_string(decoded.value().requests.size()));
+    spans_->Record(std::move(decode_span));
+  }
+
+  const size_t count = env.sub_ids.size();
+  Status frame_transport = Status::Ok();
+  if (!decoded.ok()) {
+    frame_transport = decoded.status();
+  } else if (decoded.value().requests.size() != count) {
+    frame_transport =
+        Status::Corruption("batch does not match its transport metadata");
+  }
+  const uint8_t wire_flags =
+      decoded.ok() ? decoded.value().trace_flags : query.trace_flags;
+  // Dequeue injection point, once per frame: the node died after the
+  // master's dispatch-time liveness view let the frame through.
+  const bool node_down = injector_ != nullptr && injector_->IsNodeDown(node);
+
   ReplyEnvelope out;
   out.node = node;
-  out.sub_id = env.sub_ids[item];
-  out.attempt = env.attempts[item];
   out.issued_us = env.issued_us;
   out.received_us = env.received_us;
-  const bool sampled = (wire_trace_flags & kTraceSampled) != 0 &&
-                       transport.ok() && spans_ != nullptr;
-  // The flow id every span of this attempt shares with the master's
-  // dispatch span — derived from the wire-propagated context.
-  const uint64_t flow =
-      TraceFlowId(query.query_id, out.sub_id, out.attempt);
+  out.items.resize(count);
+  std::vector<SubQueryReply> replies(count);
+  // The frame's store binding, made when its first item reaches a store
+  // and kept while the items name the same table.
+  ItemServer serve;
+  const std::string* bound_table = nullptr;
+  bool corrupt_reply = false;
+  for (size_t i = 0; i < count; ++i) {
+    ReplyItem& item = out.items[i];
+    item.sub_id = env.sub_ids[i];
+    item.attempt = env.attempts[i];
+    SubQueryReply& reply = replies[i];
+    reply.query_id = decoded.ok() ? decoded.value().query_id : query.query_id;
+    reply.sub_id = item.sub_id;
+    reply.node = node;
 
-  SubQueryReply reply;
-  reply.query_id = request.query_id;
-  reply.sub_id = out.sub_id;
-  reply.node = node;
-
-  if (!transport.ok()) {
-    reply.status = static_cast<uint32_t>(transport.code());
-  } else if (injector_ != nullptr && injector_->IsNodeDown(node)) {
-    // Dequeue injection point: the node died after the master's
-    // dispatch-time liveness view let the request through.
-    reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
-  } else if (query.deadline_us > 0.0 &&
-             ClockMicros(query) >= query.deadline_us) {
-    // The owning query's deadline expired (on its own clock) while this
-    // request sat in the queue: shed it without touching the store.
-    reply.status = static_cast<uint32_t>(StatusCode::kResourceExhausted);
-  } else {
-    out.db_start_us = NowMicros();
+    Status transport = frame_transport;
+    if (transport.ok() && (decoded.value().requests[i].sub_id != item.sub_id ||
+                           decoded.value().attempts[i] != item.attempt)) {
+      transport =
+          Status::Corruption("batch does not match its transport metadata");
+    }
+    if (!transport.ok()) {
+      reply.status = static_cast<uint32_t>(transport.code());
+      continue;
+    }
+    if (node_down) {
+      reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
+      continue;
+    }
+    if (query.deadline_us > 0.0 && ClockMicros(query) >= query.deadline_us) {
+      // The owning query's deadline expired (on its own clock) while this
+      // request waited: shed it without touching the store.
+      reply.status = static_cast<uint32_t>(StatusCode::kResourceExhausted);
+      continue;
+    }
+    const SubQueryRequest& request = decoded.value().requests[i];
+    if (bound_table == nullptr || *bound_table != request.table) {
+      serve = handler_(node, request.table);
+      bound_table = &request.table;
+    }
+    item.db_start_us = NowMicros();
     SpanTracer::Scope read;
     if (spans_ != nullptr) {
       read = spans_->StartSpan("store-read", node);
       read.Attr("partition", request.partition_key);
-      read.Attr("attempt", std::to_string(out.attempt));
-      if (sampled) {
-        read.Flow(flow, FlowPhase::kStep);
+      read.Attr("attempt", std::to_string(item.attempt));
+      if ((wire_flags & kTraceSampled) != 0) {
+        read.Flow(TraceFlowId(query.query_id, item.sub_id, item.attempt),
+                  FlowPhase::kStep);
         read.Attr("query", std::to_string(query.query_id));
-        read.Attr("sub", std::to_string(out.sub_id));
+        read.Attr("sub", std::to_string(item.sub_id));
       }
     }
-    auto columns = handler_(node, request, &out.probe);
-    out.db_end_us = NowMicros();
-    out.store_read = true;
+    auto columns = serve(request, &item.probe);
+    item.db_end_us = NowMicros();
+    item.store_read = true;
     if (read.active()) {
-      read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
+      read.Attr("blocks_decoded", std::to_string(item.probe.blocks_decoded));
       read.Attr("blocks_from_cache",
-                std::to_string(out.probe.blocks_from_cache));
-      read.Attr("bloom_negatives", std::to_string(out.probe.bloom_negatives));
+                std::to_string(item.probe.blocks_from_cache));
+      read.Attr("bloom_negatives", std::to_string(item.probe.bloom_negatives));
       read.End();
     }
     if (columns.ok()) {
@@ -550,27 +579,38 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
     } else {
       reply.status = static_cast<uint32_t>(columns.status().code());
     }
-    reply.db_micros = out.db_end_us - out.db_start_us;
+    reply.db_micros = item.db_end_us - item.db_start_us;
     // The injected latency is charged after serving (to the owning
     // query's private clock), so the request that burned the clock past
     // a deadline still completes and only the ones behind it shed —
     // deterministic under one worker.
-    query.clock_nanos.fetch_add(MicrosToNanos(env.extra_latency_us[item]),
+    query.clock_nanos.fetch_add(MicrosToNanos(env.extra_latency_us[i]),
                                 std::memory_order_relaxed);
+    // Every served item's corruption decision is drawn (no short cut),
+    // so the injector's tally stays per item; one firing corrupts the
+    // whole reply frame.
+    if (injector_ != nullptr &&
+        injector_->ShouldCorruptReply(node, request.partition_key,
+                                      item.attempt)) {
+      corrupt_reply = true;
+    }
   }
 
   const Micros encode_start = NowMicros();
   SpanTracer::Scope encode_scope;
   if (sampled) {
     encode_scope = spans_->StartSpan("encode", node);
-    encode_scope.Flow(flow, FlowPhase::kStep);
-    encode_scope.Attr("query", std::to_string(query.query_id));
-    encode_scope.Attr("sub", std::to_string(out.sub_id));
-    encode_scope.Attr("attempt", std::to_string(out.attempt));
+    encode_scope.Flow(frame_flow, FlowPhase::kStep);
+    encode_scope.Attr("query", std::to_string(decoded.value().query_id));
+    encode_scope.Attr("sub",
+                      std::to_string(decoded.value().requests.front().sub_id));
+    encode_scope.Attr("attempt",
+                      std::to_string(decoded.value().attempts.front()));
+    encode_scope.Attr("items", std::to_string(count));
   }
   WireBuffer buf;
-  EncodeReplyFrame(reply, out.attempt, wire_trace_flags, query.codec,
-                   registry_, buf);
+  EncodeReplyBatch(replies, env.attempts, wire_flags, query.codec, registry_,
+                   buf);
   encode_scope.End();
   const Micros encode_us = NowMicros() - encode_start;
   const uint64_t encode_nanos = MicrosToNanos(encode_us);
@@ -579,12 +619,11 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
   if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
   out.frame = buf.TakeBytes();
 
-  if (out.store_read && injector_ != nullptr &&
-      injector_->ShouldCorruptReply(node, request.partition_key,
-                                    out.attempt)) {
+  if (corrupt_reply) {
     // In-flight reply corruption: flip a header bit so the frame fails
     // validation at the master (the frame header plays the role a
-    // checksum would on a real wire) and the master must fail over.
+    // checksum would on a real wire) and every item it carried fails
+    // over.
     out.frame[0] ^= std::byte{0x01};
   }
 
@@ -597,10 +636,11 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
   QueryState& query = *env.query;
   ReplyEnvelope out;
   out.node = node;
-  out.sub_id = env.sub_ids.front();
-  out.attempt = env.attempts.front();
   out.issued_us = env.issued_us;
   out.received_us = env.received_us;
+  ReplyItem& item = out.items.emplace_back();
+  item.sub_id = env.sub_ids.front();
+  item.attempt = env.attempts.front();
 
   const Micros decode_start = NowMicros();
   auto decoded = DecodeWriteBatchFrame(env.frame, query.codec, registry_);
@@ -627,11 +667,11 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
       decoded.ok() ? decoded.value().trace_flags : query.trace_flags;
   const bool sampled = (wire_flags & kTraceSampled) != 0 && transport.ok() &&
                        spans_ != nullptr;
-  const uint64_t flow = TraceFlowId(query.query_id, out.sub_id, out.attempt);
+  const uint64_t flow = TraceFlowId(query.query_id, item.sub_id, item.attempt);
 
   WriteReply reply;
   reply.query_id = query.query_id;
-  reply.sub_id = out.sub_id;
+  reply.sub_id = item.sub_id;
   reply.node = node;
 
   if (!transport.ok()) {
@@ -645,28 +685,28 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
     reply.status = static_cast<uint32_t>(StatusCode::kResourceExhausted);
   } else {
     const WriteBatch& batch = decoded.value().batch;
-    out.db_start_us = NowMicros();
+    item.db_start_us = NowMicros();
     SpanTracer::Scope write_span;
     if (spans_ != nullptr) {
       write_span = spans_->StartSpan("store-write", node);
       write_span.Attr("keys", std::to_string(batch.keys.size()));
-      write_span.Attr("attempt", std::to_string(out.attempt));
+      write_span.Attr("attempt", std::to_string(item.attempt));
       if (sampled) {
         write_span.Flow(flow, FlowPhase::kStep);
         write_span.Attr("query", std::to_string(query.query_id));
-        write_span.Attr("sub", std::to_string(out.sub_id));
+        write_span.Attr("sub", std::to_string(item.sub_id));
       }
     }
     WriteReply served = write_handler_(node, batch, *this);
-    out.db_end_us = NowMicros();
-    out.store_read = true;  // the handler ran (write-side analogue)
+    item.db_end_us = NowMicros();
+    item.store_read = true;  // the handler ran (write-side analogue)
     write_span.End();
     // The routing fields are the runtime's, not the handler's: a handler
     // bug must not be able to misroute a reply past the demultiplexer.
     served.query_id = query.query_id;
-    served.sub_id = out.sub_id;
+    served.sub_id = item.sub_id;
     served.node = node;
-    served.db_micros = out.db_end_us - out.db_start_us;
+    served.db_micros = item.db_end_us - item.db_start_us;
     reply = std::move(served);
     query.clock_nanos.fetch_add(
         MicrosToNanos(env.extra_latency_us.front()),
@@ -675,7 +715,7 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
 
   const Micros encode_start = NowMicros();
   WireBuffer buf;
-  EncodeWriteReplyFrame(reply, out.attempt, wire_flags, query.codec,
+  EncodeWriteReplyFrame(reply, item.attempt, wire_flags, query.codec,
                         registry_, buf);
   const Micros encode_us = NowMicros() - encode_start;
   const uint64_t encode_nanos = MicrosToNanos(encode_us);
@@ -687,27 +727,17 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
   query.replies.Push(std::move(out));
 }
 
-NodeRuntime::DecodedReply NodeRuntime::AwaitReply(uint64_t query_id) {
+std::vector<NodeRuntime::DecodedReply> NodeRuntime::AwaitReply(
+    uint64_t query_id) {
   auto query = FindQuery(query_id);
   KV_CHECK(query != nullptr);
-  DecodedReply out;
   auto popped = query->replies.Pop();
   if (!popped) {
-    out.reply = Status::Unavailable("node runtime shut down");
-    return out;
+    std::vector<DecodedReply> closed(1);
+    closed.front().reply = Status::Unavailable("node runtime shut down");
+    return closed;
   }
   ReplyEnvelope env = std::move(*popped);
-  out.node = env.node;
-  out.sub_id = env.sub_id;
-  out.attempt = env.attempt;
-  out.store_read = env.store_read;
-  out.probe = env.probe;
-  out.issued_us = env.issued_us;
-  out.received_us = env.received_us;
-  out.db_start_us = env.db_start_us;
-  out.db_end_us = env.db_end_us;
-  out.reply_bytes = env.frame.size();
-
   bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
   query->bytes_received.fetch_add(env.frame.size(),
                                   std::memory_order_relaxed);
@@ -717,20 +747,55 @@ NodeRuntime::DecodedReply NodeRuntime::AwaitReply(uint64_t query_id) {
 
   const Micros decode_start = NowMicros();
   // The query_id-checked decode is the wire half of the demultiplexer: a
-  // reply naming another query is kCorruption, handled like any other
-  // unreadable reply (failover), never folded.
-  auto decoded = DecodeReplyFrame(env.frame, query->codec, registry_, query_id);
+  // frame naming another query is kCorruption, handled like any other
+  // unreadable reply (failover), never folded. The frame is one unit:
+  // any item disagreeing with the transport metadata fails all of them.
+  auto decoded =
+      DecodeReplyBatch(env.frame, query->codec, registry_, query_id);
+  Status frame_status = Status::Ok();
   if (!decoded.ok()) {
-    out.reply = decoded.status();
-  } else if (decoded.value().attempt != env.attempt) {
-    out.reply = Status::Corruption(
-        "reply frame: envelope attempt " +
-        std::to_string(decoded.value().attempt) +
-        " disagrees with the transport metadata's " +
-        std::to_string(env.attempt));
+    frame_status = decoded.status();
+  } else if (decoded.value().replies.size() != env.items.size()) {
+    frame_status = Status::Corruption(
+        "reply frame: " + std::to_string(decoded.value().replies.size()) +
+        " replies for " + std::to_string(env.items.size()) + " requests");
   } else {
-    out.trace_flags = decoded.value().trace_flags;
-    out.reply = std::move(decoded).value().reply;
+    for (size_t i = 0; i < env.items.size(); ++i) {
+      const SubQueryReply& reply = decoded.value().replies[i];
+      const uint32_t attempt = decoded.value().attempts[i];
+      if (reply.sub_id != env.items[i].sub_id ||
+          attempt != env.items[i].attempt) {
+        frame_status = Status::Corruption(
+            "reply frame: item " + std::to_string(i) + " (sub " +
+            std::to_string(reply.sub_id) + ", attempt " +
+            std::to_string(attempt) +
+            ") disagrees with the transport metadata's (sub " +
+            std::to_string(env.items[i].sub_id) + ", attempt " +
+            std::to_string(env.items[i].attempt) + ")");
+        break;
+      }
+    }
+  }
+
+  std::vector<DecodedReply> out(env.items.size());
+  for (size_t i = 0; i < env.items.size(); ++i) {
+    const ReplyItem& item = env.items[i];
+    DecodedReply& r = out[i];
+    r.node = env.node;
+    r.sub_id = item.sub_id;
+    r.attempt = item.attempt;
+    r.store_read = item.store_read;
+    r.probe = item.probe;
+    r.issued_us = env.issued_us;
+    r.received_us = env.received_us;
+    r.db_start_us = item.db_start_us;
+    r.db_end_us = item.db_end_us;
+    if (frame_status.ok()) {
+      r.trace_flags = decoded.value().trace_flags;
+      r.reply = std::move(decoded.value().replies[i]);
+    } else {
+      r.reply = frame_status;
+    }
   }
   const Micros decode_us = NowMicros() - decode_start;
   const uint64_t decode_nanos = MicrosToNanos(decode_us);
@@ -751,14 +816,15 @@ NodeRuntime::DecodedWriteReply NodeRuntime::AwaitWriteReply(
     return out;
   }
   ReplyEnvelope env = std::move(*popped);
+  const ReplyItem& item = env.items.front();
   out.node = env.node;
-  out.sub_id = env.sub_id;
-  out.attempt = env.attempt;
-  out.store_write = env.store_read;
+  out.sub_id = item.sub_id;
+  out.attempt = item.attempt;
+  out.store_write = item.store_read;
   out.issued_us = env.issued_us;
   out.received_us = env.received_us;
-  out.db_start_us = env.db_start_us;
-  out.db_end_us = env.db_end_us;
+  out.db_start_us = item.db_start_us;
+  out.db_end_us = item.db_end_us;
   out.reply_bytes = env.frame.size();
 
   bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
@@ -773,12 +839,12 @@ NodeRuntime::DecodedWriteReply NodeRuntime::AwaitWriteReply(
       DecodeWriteReplyFrame(env.frame, query->codec, registry_, query_id);
   if (!decoded.ok()) {
     out.reply = decoded.status();
-  } else if (decoded.value().attempt != env.attempt) {
+  } else if (decoded.value().attempt != item.attempt) {
     out.reply = Status::Corruption(
         "write reply: envelope attempt " +
         std::to_string(decoded.value().attempt) +
         " disagrees with the transport metadata's " +
-        std::to_string(env.attempt));
+        std::to_string(item.attempt));
   } else {
     out.trace_flags = decoded.value().trace_flags;
     out.reply = std::move(decoded).value().reply;

@@ -6,9 +6,12 @@
 // master *encodes* every sub-query through a selectable wire codec
 // (Tagged vs Compact — the Java-vs-Kryo axis of Section V-B), optionally
 // coalescing the sub-queries bound for one node into a single framed
-// SubQueryBatch, and enqueues the frame on the target node. Workers
-// dequeue, decode, execute against the local store, and reply with an
-// encoded SubQueryReply frame that the master decodes and folds.
+// SubQueryBatch, and enqueues the frame on the target node. A frame is
+// the unit of work on both sides: a worker dequeues it, checks the
+// node's liveness once, decodes it, resolves the store and table once,
+// serves every item against the local store, and answers with one reply
+// frame — one SubQueryReply per request item — that the master decodes
+// once and folds item by item. A reply frame answers a request frame.
 //
 // One runtime serves *many concurrent queries*. The queues and worker
 // pools are built once and shared; each query registers with BeginQuery
@@ -24,17 +27,24 @@
 // measurable wall-clock intervals instead of simulated ones:
 //
 //   issued --(master-to-slave: encode + any backpressure blocking)-->
-//   received --(in-queue: queue residency + decode)--> db_start
-//   --(in-db: the store read)--> db_end
-//   --(slave-to-master: reply encode + queue + master decode)--> completed
+//   received --(in-queue: queue residency + decode + the frame's
+//   earlier items)--> db_start --(in-db: the store read)--> db_end
+//   --(slave-to-master: the frame's later items + reply encode + queue
+//   + master decode)--> completed
+//
+// Frame-granular replies move time between the last two stages: an item
+// no longer waits for its predecessors' reply encodes before its read,
+// but its answer waits for the frame's later items before it ships.
 //
 // Fault injection composes at three points: the master consults
 // FaultInjector::OnRead at *dispatch* (so failover decisions stay
 // bit-identical to the direct path), workers re-check node liveness at
-// *dequeue* (a kill landing while requests are queued bounces them with
-// kUnavailable), and FaultConfig::reply_corrupt_rate flips a bit in the
-// encoded *reply* so the master sees a frame that fails validation and
-// fails over — a fault class only a real message path has.
+// *dequeue*, once per frame (a kill landing while requests are queued
+// bounces every item of the frame with kUnavailable), and
+// FaultConfig::reply_corrupt_rate flips a bit in the encoded *reply
+// frame* when any item's decision fires, so the master sees a frame that
+// fails validation and fails over every item it carried — a fault class
+// only a real message path has.
 #pragma once
 
 #include <atomic>
@@ -178,6 +188,17 @@ struct NodeRuntimeOptions {
 using SubQueryHandler = std::function<Result<OperatorResult>(
     uint32_t node, const SubQueryRequest& request, ReadProbe* probe)>;
 
+/// Serves the items of one request frame that name one table, in order.
+using ItemServer = std::function<Result<OperatorResult>(
+    const SubQueryRequest& request, ReadProbe* probe)>;
+
+/// Binds `node`'s store and `table` once per request frame and returns
+/// the server the frame's items run through, so the store and table are
+/// resolved once per frame rather than once per item. Must be safe to
+/// call from many workers at once.
+using FrameHandler =
+    std::function<ItemServer(uint32_t node, const std::string& table)>;
+
 class NodeRuntime;
 
 /// Applies one decoded WriteBatch to `node`'s store, returning the reply
@@ -231,7 +252,8 @@ class NodeRuntime {
     Micros decode_us = 0.0;       ///< total decode time, both directions
   };
 
-  /// One decoded reply plus the transport metadata echoed alongside it.
+  /// One item of a decoded reply frame plus the transport metadata
+  /// echoed alongside it.
   struct DecodedReply {
     uint32_t node = 0;     ///< replica that served (or refused)
     uint32_t sub_id = 0;
@@ -244,21 +266,21 @@ class NodeRuntime {
     /// the wire actually carried, not what the master asked for).
     uint8_t trace_flags = 0;
     /// The decoded reply; an error here means the reply *frame* was
-    /// unreadable (in-flight corruption) or named a different query (a
-    /// demux violation), distinct from a decoded reply whose `status`
-    /// field reports a store error.
+    /// unreadable (in-flight corruption), named a different query (a
+    /// demux violation) or disagreed with its transport metadata — every
+    /// item of such a frame carries the same error — distinct from a
+    /// decoded reply whose `status` field reports a store error.
     Result<SubQueryReply> reply = Status::Unavailable("no reply");
-    Micros issued_us = 0.0;
-    Micros received_us = 0.0;
+    Micros issued_us = 0.0;    ///< the frame's, shared by its items
+    Micros received_us = 0.0;  ///< the frame's, shared by its items
     Micros db_start_us = 0.0;
     Micros db_end_us = 0.0;
-    uint64_t reply_bytes = 0;  ///< encoded reply frame size
   };
 
   /// Spawns `nodes * options.workers_per_node` workers — once, for the
   /// runtime's whole life; queries come and go without touching a
-  /// thread. `handler` serves decoded sub-queries (and must be safe to
-  /// call from many workers at once); `registry` must have
+  /// thread. `handler` binds each request frame's store and table once
+  /// and serves its decoded sub-queries; `registry` must have
   /// RegisterClusterMessages applied and outlive the runtime, as must
   /// the optional `injector`, `metrics`, and `spans`. The optional
   /// `write_handler` serves WriteBatch envelopes (required before any
@@ -266,6 +288,13 @@ class NodeRuntime {
   /// background flush/compaction steps (required before any
   /// ScheduleMaintenance); both are fixed at construction so workers
   /// never race a handler swap.
+  NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
+              FrameHandler handler, const CompactCodec& registry,
+              FaultInjector* injector, MetricsRegistry* metrics,
+              SpanTracer* spans, WriteBatchHandler write_handler = nullptr,
+              MaintenanceHandler maintenance_handler = nullptr);
+  /// Convenience for handlers with nothing to resolve per frame: every
+  /// item calls `handler` with its node.
   NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
               SubQueryHandler handler, const CompactCodec& registry,
               FaultInjector* injector, MetricsRegistry* metrics,
@@ -308,19 +337,25 @@ class NodeRuntime {
   /// Encodes `requests` (with per-item attempt numbers and injected
   /// latency charges) into one frame with `query_id`'s codec and
   /// enqueues it on `node`. Blocks under kBlock when the queue is full;
-  /// fails with kResourceExhausted under kReject. One reply per request
-  /// eventually reaches AwaitReply(query_id). The query must be live
-  /// (between BeginQuery and EndQuery).
+  /// fails with kResourceExhausted under kReject. One reply frame per
+  /// dispatched frame, holding one reply per request, eventually reaches
+  /// AwaitReply(query_id). The query must be live (between BeginQuery and
+  /// EndQuery).
   Status Dispatch(uint64_t query_id, uint32_t node,
                   std::span<const SubQueryRequest> requests,
                   std::span<const uint32_t> attempts,
                   std::span<const Micros> extra_latency_us);
 
   /// Blocks until one of `query_id`'s reply frames arrives and decodes
-  /// it (the in-flight corruption injection point lives between those
-  /// two steps; a decoded reply naming a different query_id is a demux
-  /// corruption). Call exactly once per dispatched request.
-  DecodedReply AwaitReply(uint64_t query_id);
+  /// it once, returning one DecodedReply per item of the request frame
+  /// it answers, in dispatch order (the in-flight corruption injection
+  /// point lives between arrival and decode). The frame is validated as
+  /// a unit: a frame that fails to decode, names a different query_id (a
+  /// demux corruption) or disagrees with its transport metadata on any
+  /// item's count, sub_id or attempt gives every item that error. Call
+  /// exactly once per dispatched frame. After Shutdown, returns a single
+  /// kUnavailable item.
+  std::vector<DecodedReply> AwaitReply(uint64_t query_id);
 
   /// One decoded write reply plus its transport metadata. `store_write`
   /// is true when the write handler actually ran (false for liveness
@@ -404,17 +439,25 @@ class NodeRuntime {
   void Shutdown();
 
  private:
-  struct ReplyEnvelope {
-    uint32_t node = 0;
+  /// Per-item transport metadata a reply frame carries beside its
+  /// encoded bytes, echoed verbatim to the master.
+  struct ReplyItem {
     uint32_t sub_id = 0;
     uint32_t attempt = 0;
-    bool store_read = false;
+    bool store_read = false;  ///< the handler ran for this item
     ReadProbe probe;
-    std::vector<std::byte> frame;  ///< encoded SubQueryReply
-    Micros issued_us = 0.0;
-    Micros received_us = 0.0;
     Micros db_start_us = 0.0;
     Micros db_end_us = 0.0;
+  };
+
+  /// One reply frame: the answer to one request frame (a read frame's
+  /// items, or a write frame's single batch).
+  struct ReplyEnvelope {
+    uint32_t node = 0;
+    std::vector<ReplyItem> items;  ///< one per request item, in order
+    std::vector<std::byte> frame;  ///< encoded reply frame
+    Micros issued_us = 0.0;
+    Micros received_us = 0.0;
   };
 
   /// Everything private to one admitted query: the reply channel the
@@ -471,13 +514,11 @@ class NodeRuntime {
   };
 
   void WorkerLoop(uint32_t node);
-  /// Serves one decoded request (or refuses it), appending the encoded
-  /// reply envelope to the owning query's channel. `wire_trace_flags` is
-  /// the trace context decoded off the request frame (echoed into the
-  /// reply and, when sampled, stamped on the worker's spans).
-  void ServeOne(uint32_t node, const SubQueryRequest& request,
-                const RequestEnvelope& env, size_t item, Status transport,
-                uint8_t wire_trace_flags);
+  /// Serves one dequeued read frame end to end: decode, one liveness
+  /// check, every item (or its refusal) through one frame binding, and
+  /// one encoded reply frame pushed onto the owning query's channel.
+  /// `wait_us` is the frame's queue residency (for its span).
+  void ServeReads(uint32_t node, const RequestEnvelope& env, Micros wait_us);
   /// Serves one dequeued write envelope end to end: decode, liveness /
   /// deadline checks, the write handler, and the encoded WriteReply
   /// pushed onto the owning query's channel.
@@ -489,7 +530,7 @@ class NodeRuntime {
   static Micros ClockMicros(const QueryState& query);
 
   NodeRuntimeOptions options_;
-  SubQueryHandler handler_;
+  FrameHandler handler_;
   WriteBatchHandler write_handler_;            ///< may be null (read-only)
   MaintenanceHandler maintenance_handler_;     ///< may be null
   const CompactCodec& registry_;

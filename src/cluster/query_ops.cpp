@@ -26,17 +26,11 @@ Result<OperatorResult> ExecuteOperator(const Table& table,
                                        ReadProbe* probe) {
   switch (op) {
     case kOpCountByType: {
-      auto counts = table.CountByType(partition_key, probe);
-      if (!counts.ok()) return counts.status();
+      // Ascending (type, count) pairs straight into the reply columns —
+      // the order the count fold has always seen on the wire.
       OperatorResult out;
-      out.col_a.reserve(counts.value().size());
-      out.col_b.reserve(counts.value().size());
-      // std::map iteration ascends by type id — the reply order the
-      // count fold has always seen on the wire.
-      for (const auto& [type, count] : counts.value()) {
-        out.col_a.push_back(type);
-        out.col_b.push_back(count);
-      }
+      KV_RETURN_IF_ERROR(
+          table.CountByTypeColumns(partition_key, out.col_a, out.col_b, probe));
       return out;
     }
     case kOpRangeScan: {

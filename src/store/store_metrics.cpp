@@ -14,6 +14,8 @@ StoreInstruments StoreInstruments::Resolve(MetricsRegistry& registry) {
   out.memtable_flushes = &registry.GetCounter("store.memtable.flushes");
   out.flush_latency = &registry.GetHistogram("store.flush.latency_us");
   out.compactions = &registry.GetCounter("store.compactions");
+  out.compaction_failures =
+      &registry.GetCounter("store.compaction.failures");
   out.commitlog_appends = &registry.GetCounter("store.commitlog.appends");
   out.commitlog_sync_failures =
       &registry.GetCounter("store.commitlog.sync_failures");

@@ -25,6 +25,9 @@ struct StoreInstruments {
   Counter* memtable_flushes = nullptr; ///< store.memtable.flushes
   LatencyHistogram* flush_latency = nullptr;  ///< store.flush.latency_us
   Counter* compactions = nullptr;      ///< store.compactions
+  /// store.compaction.failures — merges abandoned because an input block
+  /// failed its checksum (the input segments stay in place).
+  Counter* compaction_failures = nullptr;
   Counter* commitlog_appends = nullptr;  ///< store.commitlog.appends
   /// store.commitlog.sync_failures — WAL Sync/MarkClean errors during
   /// FlushAll, which are non-fatal (the log only grows) but must not

@@ -198,7 +198,7 @@ void Table::FlushLocked() {
   }
 }
 
-std::shared_ptr<const Segment> Table::MergeSegmentsLocked(
+Result<std::shared_ptr<const Segment>> Table::MergeSegmentsLocked(
     const std::vector<size_t>& indices, bool purge_tombstones) {
   std::set<std::string> keys;
   for (size_t idx : indices) {
@@ -214,7 +214,12 @@ std::shared_ptr<const Segment> Table::MergeSegmentsLocked(
       SortedRun run;
       const Status read = segments_[idx]->ReadRun(key, std::nullopt, nullptr,
                                                   nullptr, &run.slices);
-      if (read.ok() && !run.slices.empty()) runs.push_back(std::move(run));
+      if (read.code() == StatusCode::kNotFound) continue;
+      // A damaged block must fail the merge: skipping it would drop its
+      // cells from the merged segment, and the checksum that could still
+      // report the damage would be gone with the old segment.
+      KV_RETURN_IF_ERROR(read);
+      if (!run.slices.empty()) runs.push_back(std::move(run));
     }
     std::vector<Column> columns;
     WalkRuns(runs, /*descending=*/false, /*keep_tombstones=*/!purge_tombstones,
@@ -252,10 +257,19 @@ void Table::MaybeCompactLocked() {
     run.reserve(want);
     for (size_t i = start; i < start + want; ++i) run.push_back(i);
     auto merged = MergeSegmentsLocked(run, /*purge_tombstones=*/false);
+    if (!merged.ok()) {
+      // The segments stay as they are: their reads keep reporting the
+      // damage, and the failure is counted rather than hidden.
+      ++compaction_failures_;
+      if (instruments_ != nullptr) {
+        instruments_->compaction_failures->Increment();
+      }
+      return;
+    }
     if (cache_ != nullptr) {
       for (size_t idx : run) cache_->EraseSegment(segments_[idx]->cache_id());
     }
-    segments_[start] = std::move(merged);
+    segments_[start] = std::move(merged).value();
     segments_.erase(
         segments_.begin() + static_cast<ptrdiff_t>(start + 1),
         segments_.begin() + static_cast<ptrdiff_t>(start + want));
@@ -321,6 +335,11 @@ Status Table::CorruptBlockForFaultInjection(size_t segment_index,
 uint64_t Table::auto_compactions() const {
   ReaderMutexLock lock(mu_);
   return auto_compactions_;
+}
+
+uint64_t Table::compaction_failures() const {
+  ReaderMutexLock lock(mu_);
+  return compaction_failures_;
 }
 
 namespace {
@@ -496,26 +515,65 @@ Result<std::vector<Column>> Table::Slice(std::string_view partition_key,
   return out;
 }
 
-Result<TypeCounts> Table::CountByType(std::string_view partition_key,
-                                      ReadProbe* probe) const {
-  // Small type ids count into an array; a map insert per cell would cost
-  // more than the rest of the read.
+template <typename Reserve, typename Emit>
+Status Table::CountTypes(std::string_view partition_key, ReadProbe* probe,
+                         Reserve&& reserve, Emit&& emit) const {
+  // Small type ids count into an array; the rare large ones are sorted
+  // afterwards. Both come out ascending, and every dense id sorts below
+  // every large one, so no map is needed.
   std::array<uint64_t, 64> dense{};
-  TypeCounts counts;
+  std::vector<uint32_t> large;
   KV_RETURN_IF_ERROR(ReadCells(partition_key, std::nullopt,
                                /*descending=*/false, probe,
                                [&](const CellView& cell) {
                                  if (cell.type_id < dense.size()) {
                                    ++dense[cell.type_id];
                                  } else {
-                                   ++counts[cell.type_id];
+                                   large.push_back(cell.type_id);
                                  }
                                  return true;
                                }));
+  reserve(static_cast<size_t>(std::count_if(
+              dense.begin(), dense.end(), [](uint64_t n) { return n > 0; })) +
+          large.size());
   for (uint32_t type = 0; type < dense.size(); ++type) {
-    if (dense[type] > 0) counts[type] = dense[type];
+    if (dense[type] > 0) emit(type, dense[type]);
   }
-  return counts;
+  std::sort(large.begin(), large.end());
+  for (size_t i = 0; i < large.size();) {
+    size_t end = i;
+    while (end < large.size() && large[end] == large[i]) ++end;
+    emit(large[i], end - i);
+    i = end;
+  }
+  return Status::Ok();
+}
+
+Result<TypeCounts> Table::CountByType(std::string_view partition_key,
+                                      ReadProbe* probe) const {
+  TypeCounts out;
+  KV_RETURN_IF_ERROR(CountTypes(
+      partition_key, probe, [](size_t) {},
+      [&](uint32_t type, uint64_t count) {
+        out.emplace_hint(out.end(), type, count);
+      }));
+  return out;
+}
+
+Status Table::CountByTypeColumns(std::string_view partition_key,
+                                 std::vector<uint64_t>& type_ids,
+                                 std::vector<uint64_t>& counts,
+                                 ReadProbe* probe) const {
+  return CountTypes(
+      partition_key, probe,
+      [&](size_t distinct) {
+        type_ids.reserve(type_ids.size() + distinct);
+        counts.reserve(counts.size() + distinct);
+      },
+      [&](uint32_t type, uint64_t count) {
+        type_ids.push_back(type);
+        counts.push_back(count);
+      });
 }
 
 Result<std::vector<CellHeader>> Table::ScanRange(
@@ -553,22 +611,32 @@ bool Table::HasPartition(std::string_view partition_key) const {
   return false;
 }
 
-void Table::Compact() {
+Status Table::Compact() {
   WriterMutexLock lock(mu_);
   FlushLocked();
-  if (segments_.empty()) return;
+  if (segments_.empty()) return Status::Ok();
 
   // A full compaction sees every copy, so tombstones (and what they
   // shadow) are purged for good and fully deleted partitions disappear.
   std::vector<size_t> all(segments_.size());
   std::iota(all.begin(), all.end(), size_t{0});
   auto merged = MergeSegmentsLocked(all, /*purge_tombstones=*/true);
+  if (!merged.ok()) {
+    ++compaction_failures_;
+    if (instruments_ != nullptr) {
+      instruments_->compaction_failures->Increment();
+    }
+    return merged.status();
+  }
   if (cache_ != nullptr) {
     for (const auto& segment : segments_) cache_->EraseSegment(segment->cache_id());
   }
   segments_.clear();
-  if (merged->partition_count() > 0) segments_.push_back(std::move(merged));
+  if (merged.value()->partition_count() > 0) {
+    segments_.push_back(std::move(merged).value());
+  }
   if (instruments_ != nullptr) instruments_->compactions->Increment();
+  return Status::Ok();
 }
 
 size_t Table::segment_count() const {

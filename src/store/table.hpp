@@ -84,9 +84,18 @@ class Table {
                                     ReadProbe* probe = nullptr) const;
 
   /// The paper's benchmark aggregation: counts elements per type within
-  /// one partition.
+  /// one partition, as a map.
   Result<TypeCounts> CountByType(std::string_view partition_key,
                                  ReadProbe* probe = nullptr) const;
+
+  /// The same count as columns, and the body of the kOpCountByType
+  /// operator: appends one (type id, count) pair per type present in the
+  /// partition to `type_ids` / `counts`, ascending by type id — the
+  /// reply's column layout, so the operator ships them without a copy.
+  Status CountByTypeColumns(std::string_view partition_key,
+                            std::vector<uint64_t>& type_ids,
+                            std::vector<uint64_t>& counts,
+                            ReadProbe* probe = nullptr) const;
 
   /// Bounded range scan: cells with clustering key in [lo, hi],
   /// ascending, stopping after the first `limit` rows (0 = unbounded).
@@ -110,11 +119,17 @@ class Table {
   void Flush();
 
   /// Merges all segments (and the memtable) into one segment, purging
-  /// tombstones.
-  void Compact();
+  /// tombstones. A segment block that fails its checksum fails the merge
+  /// (kCorruption) and leaves the segments as they were, so a damaged
+  /// block keeps failing reads loudly instead of its cells vanishing.
+  Status Compact();
 
   /// Total automatic (size-tiered) compactions performed so far.
   uint64_t auto_compactions() const;
+
+  /// Compactions (automatic or full) abandoned because an input segment
+  /// could not be read; their segments stayed in place.
+  uint64_t compaction_failures() const;
 
   /// Persists the table (memtable flushed first) to `path` as a
   /// checksummed snapshot of its segments.
@@ -162,6 +177,14 @@ class Table {
                    std::optional<ClusteringRange> range, bool descending,
                    ReadProbe* probe, Visit&& visit) const;
 
+  /// The one count loop behind CountByType and CountByTypeColumns:
+  /// tallies the partition's live cells by type id, then calls
+  /// `reserve(bound)` with an upper bound on the distinct types and
+  /// `emit(type_id, count)` once per type present, ascending.
+  template <typename Reserve, typename Emit>
+  Status CountTypes(std::string_view partition_key, ReadProbe* probe,
+                    Reserve&& reserve, Emit&& emit) const;
+
   void FlushLocked() KV_REQUIRES(mu_);
 
   /// Size-tiered compaction pass; merges one tier if one qualifies.
@@ -169,8 +192,9 @@ class Table {
   void MaybeCompactLocked() KV_REQUIRES(mu_);
 
   /// Merges the given segment indices (ascending) into one new segment.
-  /// `purge_tombstones` only when merging *all* segments.
-  std::shared_ptr<const Segment> MergeSegmentsLocked(
+  /// `purge_tombstones` only when merging *all* segments. Fails, building
+  /// nothing, when any input block cannot be read.
+  Result<std::shared_ptr<const Segment>> MergeSegmentsLocked(
       const std::vector<size_t>& indices, bool purge_tombstones)
       KV_REQUIRES(mu_);
 
@@ -185,6 +209,7 @@ class Table {
   uint64_t next_segment_id_ KV_GUARDED_BY(mu_) = 1;
   uint64_t put_count_ KV_GUARDED_BY(mu_) = 0;
   uint64_t auto_compactions_ KV_GUARDED_BY(mu_) = 0;
+  uint64_t compaction_failures_ KV_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace kvscale

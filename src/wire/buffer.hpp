@@ -72,6 +72,11 @@ class WireReader {
   std::vector<std::byte> ReadBytes();
   /// ReadBytes without the copy: a view into the reader's buffer.
   std::span<const std::byte> ReadBytesView();
+  /// Advances past `n` bytes in O(1); overrunning the buffer is a decode
+  /// error like any other read.
+  void Skip(size_t n) {
+    if (Ensure(n)) pos_ += n;
+  }
 
   /// True while no decode error has occurred.
   bool ok() const { return ok_; }

@@ -1,7 +1,8 @@
 #include "wire/envelope.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <unordered_set>
+#include <optional>
 
 namespace kvscale {
 
@@ -22,21 +23,157 @@ Result<WireCodecKind> ParseWireCodec(std::string_view name) {
                                  "' (expected tagged|compact)");
 }
 
-void EncodeFrame(WireCodecKind codec, uint64_t query_id, uint8_t trace_flags,
-                 std::span<const uint32_t> sub_ids,
-                 std::span<const uint32_t> attempts,
-                 std::span<const WireBuffer> items, WireBuffer& out) {
+namespace {
+
+void WriteFrameHeader(WireCodecKind codec, uint64_t query_id,
+                      uint8_t trace_flags, size_t count, WireBuffer& out) {
   out.WriteU16(kFrameMagic);
   out.WriteU8(kFrameVersion);
   out.WriteU8(static_cast<uint8_t>(codec));
   out.WriteU8(trace_flags);
   out.WriteVarint(query_id);
-  out.WriteVarint(items.size());
+  out.WriteVarint(count);
+}
+
+void WriteFrameItem(uint32_t sub_id, uint32_t attempt,
+                    std::span<const std::byte> payload, WireBuffer& out) {
+  out.WriteVarint(sub_id);
+  out.WriteVarint(attempt);
+  // WriteBytes emits the varint length prefix itself.
+  out.WriteBytes(payload);
+}
+
+/// Frames `messages` (each carrying query_id and sub_id) with one
+/// attempt ordinal per message. Every payload is encoded into one reused
+/// scratch buffer and copied behind its length prefix, so a frame of N
+/// items costs one scratch allocation, not N buffers.
+template <typename M>
+void EncodeMessageFrame(std::span<const M> messages,
+                        std::span<const uint32_t> attempts,
+                        uint8_t trace_flags, WireCodecKind kind,
+                        const CompactCodec& registry, WireBuffer& out) {
+  const uint64_t query_id = messages.empty() ? 0 : messages[0].query_id;
+  WriteFrameHeader(kind, query_id, trace_flags, messages.size(), out);
+  WireBuffer scratch;
+  for (size_t i = 0; i < messages.size(); ++i) {
+    scratch.clear();
+    EncodeWith(kind, registry, messages[i], scratch);
+    WriteFrameItem(messages[i].sub_id, i < attempts.size() ? attempts[i] : 0,
+                   scratch.data(), out);
+  }
+}
+
+/// The sub_id some two items of `items` share, if any. Frames built by
+/// the master list their items in ascending sub_id order, so the common
+/// case is one linear pass with no allocation.
+std::optional<uint32_t> DuplicateSubId(const std::vector<FrameItem>& items) {
+  bool ascending = true;
+  for (size_t i = 1; i < items.size() && ascending; ++i) {
+    ascending = items[i - 1].sub_id < items[i].sub_id;
+  }
+  if (ascending) return std::nullopt;
+  std::vector<uint32_t> ids;
+  ids.reserve(items.size());
+  for (const FrameItem& item : items) ids.push_back(item.sub_id);
+  std::sort(ids.begin(), ids.end());
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  if (dup == ids.end()) return std::nullopt;
+  return *dup;
+}
+
+/// Decodes one item's payload and checks it against its envelope: the
+/// payload's query_id must be the frame's and its sub_id the item's.
+/// `what` names the frame kind in error messages.
+template <typename M>
+Result<M> DecodeFrameItem(const FrameParts& parts, const FrameItem& item,
+                          WireCodecKind kind, const CompactCodec& registry,
+                          std::string_view what) {
+  auto decoded = DecodeWith<M>(kind, registry, item.payload);
+  if (!decoded.ok()) return decoded.status();
+  if (decoded.value().query_id != parts.query_id) {
+    return Status::Corruption(
+        std::string(what) + ": payload query_id " +
+        std::to_string(decoded.value().query_id) +
+        " disagrees with the envelope's " + std::to_string(parts.query_id));
+  }
+  if (decoded.value().sub_id != item.sub_id) {
+    return Status::Corruption(
+        std::string(what) + ": payload sub_id " +
+        std::to_string(decoded.value().sub_id) +
+        " disagrees with the envelope's " + std::to_string(item.sub_id));
+  }
+  return decoded;
+}
+
+/// Splits `frame` and checks the item-set invariants every multi-item
+/// frame shares: at least one item and no sub_id twice.
+Result<FrameParts> SplitItemFrame(std::span<const std::byte> frame,
+                                  WireCodecKind kind, std::string_view what) {
+  auto split = SplitFrame(frame, kind);
+  if (!split.ok()) return split.status();
+  if (split.value().items.empty()) {
+    return Status::Corruption(std::string(what) + ": empty frame");
+  }
+  if (const auto dup = DuplicateSubId(split.value().items)) {
+    return Status::Corruption(std::string(what) + ": duplicate sub_id " +
+                              std::to_string(*dup));
+  }
+  return split;
+}
+
+/// Splits a reply frame and applies the frame-level checks every reply
+/// decoder shares: the item-set rules and, with a non-null
+/// `expected_query_id`, the demultiplexer's — a frame naming another
+/// query is kCorruption. Each item's payload is then checked by
+/// DecodeFrameItem, so the batch and single-reply decoders share one
+/// parser.
+Result<FrameParts> SplitReplyFrame(std::span<const std::byte> frame,
+                                   WireCodecKind kind,
+                                   const uint64_t* expected_query_id) {
+  auto split = SplitItemFrame(frame, kind, "reply frame");
+  if (!split.ok()) return split.status();
+  if (expected_query_id != nullptr &&
+      split.value().query_id != *expected_query_id) {
+    return Status::Corruption(
+        "reply frame: demux mismatch (reply names query " +
+        std::to_string(split.value().query_id) + ", channel belongs to " +
+        std::to_string(*expected_query_id) + ")");
+  }
+  return split;
+}
+
+/// A reply frame that must hold exactly one reply.
+Result<DecodedReplyFrame> DecodeSingleReply(std::span<const std::byte> frame,
+                                            WireCodecKind kind,
+                                            const CompactCodec& registry,
+                                            const uint64_t* expected_query_id) {
+  auto split = SplitReplyFrame(frame, kind, expected_query_id);
+  if (!split.ok()) return split.status();
+  const FrameParts& parts = split.value();
+  if (parts.items.size() != 1) {
+    return Status::Corruption("reply frame: expected exactly one payload");
+  }
+  auto decoded = DecodeFrameItem<SubQueryReply>(
+      parts, parts.items.front(), kind, registry, "reply frame");
+  if (!decoded.ok()) return decoded.status();
+  DecodedReplyFrame out;
+  out.trace_flags = parts.trace_flags;
+  out.attempt = parts.items.front().attempt;
+  out.reply = std::move(decoded).value();
+  return out;
+}
+
+}  // namespace
+
+void EncodeFrame(WireCodecKind codec, uint64_t query_id, uint8_t trace_flags,
+                 std::span<const uint32_t> sub_ids,
+                 std::span<const uint32_t> attempts,
+                 std::span<const WireBuffer> items, WireBuffer& out) {
+  WriteFrameHeader(codec, query_id, trace_flags, items.size(), out);
   for (size_t i = 0; i < items.size(); ++i) {
-    out.WriteVarint(i < sub_ids.size() ? sub_ids[i] : 0);
-    out.WriteVarint(i < attempts.size() ? attempts[i] : 0);
-    // WriteBytes emits the varint length prefix itself.
-    out.WriteBytes(items[i].data());
+    WriteFrameItem(i < sub_ids.size() ? sub_ids[i] : 0,
+                   i < attempts.size() ? attempts[i] : 0, items[i].data(),
+                   out);
   }
 }
 
@@ -107,8 +244,8 @@ Result<FrameParts> SplitFrame(std::span<const std::byte> frame,
     item.attempt = static_cast<uint32_t>(attempt);
     item.payload = frame.subspan(offset, static_cast<size_t>(length));
     parts.items.push_back(item);
-    // Skip over the payload without copying it.
-    for (uint64_t skipped = 0; skipped < length; ++skipped) r.ReadU8();
+    // Skip over the payload without copying or visiting it.
+    r.Skip(static_cast<size_t>(length));
   }
   if (!r.AtEnd()) return Status::Corruption("frame: trailing bytes");
   return parts;
@@ -118,48 +255,24 @@ void EncodeSubQueryBatch(std::span<const SubQueryRequest> requests,
                          std::span<const uint32_t> attempts,
                          uint8_t trace_flags, WireCodecKind kind,
                          const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(requests.size());
-  std::vector<uint32_t> sub_ids(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EncodeWith(kind, registry, requests[i], items[i]);
-    sub_ids[i] = requests[i].sub_id;
-  }
-  const uint64_t query_id = requests.empty() ? 0 : requests[0].query_id;
-  EncodeFrame(kind, query_id, trace_flags, sub_ids, attempts, items, out);
+  EncodeMessageFrame(requests, attempts, trace_flags, kind, registry, out);
 }
 
 Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry) {
-  auto split = SplitFrame(frame, kind);
+  auto split = SplitItemFrame(frame, kind, "batch");
   if (!split.ok()) return split.status();
-  if (split.value().items.empty()) {
-    return Status::Corruption("batch: empty frame");
-  }
+  const FrameParts& parts = split.value();
   DecodedSubQueryBatch batch;
-  batch.query_id = split.value().query_id;
-  batch.trace_flags = split.value().trace_flags;
-  batch.requests.reserve(split.value().items.size());
-  batch.attempts.reserve(split.value().items.size());
-  std::unordered_set<uint32_t> seen_sub_ids;
-  for (const FrameItem& item : split.value().items) {
-    auto decoded = DecodeWith<SubQueryRequest>(kind, registry, item.payload);
+  batch.query_id = parts.query_id;
+  batch.trace_flags = parts.trace_flags;
+  batch.requests.reserve(parts.items.size());
+  batch.attempts.reserve(parts.items.size());
+  for (const FrameItem& item : parts.items) {
+    auto decoded =
+        DecodeFrameItem<SubQueryRequest>(parts, item, kind, registry, "batch");
     if (!decoded.ok()) return decoded.status();
-    if (decoded.value().query_id != batch.query_id) {
-      return Status::Corruption(
-          "batch: payload query_id " +
-          std::to_string(decoded.value().query_id) +
-          " disagrees with the envelope's " + std::to_string(batch.query_id));
-    }
-    if (decoded.value().sub_id != item.sub_id) {
-      return Status::Corruption(
-          "batch: payload sub_id " + std::to_string(decoded.value().sub_id) +
-          " disagrees with the envelope's " + std::to_string(item.sub_id));
-    }
-    if (!seen_sub_ids.insert(decoded.value().sub_id).second) {
-      return Status::Corruption(
-          "batch: duplicate sub_id " + std::to_string(decoded.value().sub_id));
-    }
     if (!IsKnownQueryOp(decoded.value().op)) {
       return Status::Corruption("batch: unknown operator id " +
                                 std::to_string(decoded.value().op));
@@ -170,72 +283,62 @@ Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
   return batch;
 }
 
+void EncodeReplyBatch(std::span<const SubQueryReply> replies,
+                      std::span<const uint32_t> attempts,
+                      uint8_t trace_flags, WireCodecKind kind,
+                      const CompactCodec& registry, WireBuffer& out) {
+  EncodeMessageFrame(replies, attempts, trace_flags, kind, registry, out);
+}
+
+Result<DecodedReplyBatch> DecodeReplyBatch(std::span<const std::byte> frame,
+                                           WireCodecKind kind,
+                                           const CompactCodec& registry,
+                                           uint64_t expected_query_id) {
+  auto split = SplitReplyFrame(frame, kind, &expected_query_id);
+  if (!split.ok()) return split.status();
+  const FrameParts& parts = split.value();
+  DecodedReplyBatch batch;
+  batch.query_id = parts.query_id;
+  batch.trace_flags = parts.trace_flags;
+  batch.replies.reserve(parts.items.size());
+  batch.attempts.reserve(parts.items.size());
+  for (const FrameItem& item : parts.items) {
+    auto decoded = DecodeFrameItem<SubQueryReply>(parts, item, kind, registry,
+                                                  "reply frame");
+    if (!decoded.ok()) return decoded.status();
+    batch.replies.push_back(std::move(decoded).value());
+    batch.attempts.push_back(item.attempt);
+  }
+  return batch;
+}
+
 void EncodeReplyFrame(const SubQueryReply& reply, uint32_t attempt,
                       uint8_t trace_flags, WireCodecKind kind,
                       const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(1);
-  EncodeWith(kind, registry, reply, items[0]);
-  const uint32_t sub_id = reply.sub_id;
-  EncodeFrame(kind, reply.query_id, trace_flags,
-              std::span<const uint32_t>(&sub_id, 1),
-              std::span<const uint32_t>(&attempt, 1), items, out);
+  EncodeReplyBatch(std::span<const SubQueryReply>(&reply, 1),
+                   std::span<const uint32_t>(&attempt, 1), trace_flags, kind,
+                   registry, out);
 }
 
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry) {
-  auto split = SplitFrame(frame, kind);
-  if (!split.ok()) return split.status();
-  if (split.value().items.size() != 1) {
-    return Status::Corruption("reply frame: expected exactly one payload");
-  }
-  const FrameItem& item = split.value().items.front();
-  auto decoded = DecodeWith<SubQueryReply>(kind, registry, item.payload);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded.value().query_id != split.value().query_id) {
-    return Status::Corruption(
-        "reply frame: payload query_id " +
-        std::to_string(decoded.value().query_id) +
-        " disagrees with the envelope's " +
-        std::to_string(split.value().query_id));
-  }
-  if (decoded.value().sub_id != item.sub_id) {
-    return Status::Corruption(
-        "reply frame: payload sub_id " +
-        std::to_string(decoded.value().sub_id) +
-        " disagrees with the envelope's " + std::to_string(item.sub_id));
-  }
-  DecodedReplyFrame out;
-  out.trace_flags = split.value().trace_flags;
-  out.attempt = item.attempt;
-  out.reply = std::move(decoded).value();
-  return out;
+  return DecodeSingleReply(frame, kind, registry, nullptr);
 }
 
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry,
                                            uint64_t expected_query_id) {
-  auto decoded = DecodeReplyFrame(frame, kind, registry);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded.value().reply.query_id != expected_query_id) {
-    return Status::Corruption(
-        "reply frame: demux mismatch (reply names query " +
-        std::to_string(decoded.value().reply.query_id) +
-        ", channel belongs to " + std::to_string(expected_query_id) + ")");
-  }
-  return decoded;
+  return DecodeSingleReply(frame, kind, registry, &expected_query_id);
 }
 
 void EncodeWriteBatchFrame(const WriteBatch& batch, uint32_t attempt,
                            uint8_t trace_flags, WireCodecKind kind,
                            const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(1);
-  EncodeWith(kind, registry, batch, items[0]);
-  const uint32_t sub_id = batch.sub_id;
-  EncodeFrame(kind, batch.query_id, trace_flags,
-              std::span<const uint32_t>(&sub_id, 1),
-              std::span<const uint32_t>(&attempt, 1), items, out);
+  EncodeMessageFrame(std::span<const WriteBatch>(&batch, 1),
+                     std::span<const uint32_t>(&attempt, 1), trace_flags,
+                     kind, registry, out);
 }
 
 Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
@@ -247,20 +350,10 @@ Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
     return Status::Corruption("write batch: expected exactly one payload");
   }
   const FrameItem& item = split.value().items.front();
-  auto decoded = DecodeWith<WriteBatch>(kind, registry, item.payload);
+  auto decoded = DecodeFrameItem<WriteBatch>(split.value(), item, kind,
+                                             registry, "write batch");
   if (!decoded.ok()) return decoded.status();
   const WriteBatch& batch = decoded.value();
-  if (batch.query_id != split.value().query_id) {
-    return Status::Corruption(
-        "write batch: payload query_id " + std::to_string(batch.query_id) +
-        " disagrees with the envelope's " +
-        std::to_string(split.value().query_id));
-  }
-  if (batch.sub_id != item.sub_id) {
-    return Status::Corruption(
-        "write batch: payload sub_id " + std::to_string(batch.sub_id) +
-        " disagrees with the envelope's " + std::to_string(item.sub_id));
-  }
   if (batch.keys.empty()) {
     return Status::Corruption("write batch: no keys");
   }
@@ -301,12 +394,9 @@ Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
 void EncodeWriteReplyFrame(const WriteReply& reply, uint32_t attempt,
                            uint8_t trace_flags, WireCodecKind kind,
                            const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(1);
-  EncodeWith(kind, registry, reply, items[0]);
-  const uint32_t sub_id = reply.sub_id;
-  EncodeFrame(kind, reply.query_id, trace_flags,
-              std::span<const uint32_t>(&sub_id, 1),
-              std::span<const uint32_t>(&attempt, 1), items, out);
+  EncodeMessageFrame(std::span<const WriteReply>(&reply, 1),
+                     std::span<const uint32_t>(&attempt, 1), trace_flags,
+                     kind, registry, out);
 }
 
 Result<DecodedWriteReplyFrame> DecodeWriteReplyFrame(
@@ -318,20 +408,10 @@ Result<DecodedWriteReplyFrame> DecodeWriteReplyFrame(
     return Status::Corruption("write reply: expected exactly one payload");
   }
   const FrameItem& item = split.value().items.front();
-  auto decoded = DecodeWith<WriteReply>(kind, registry, item.payload);
+  auto decoded = DecodeFrameItem<WriteReply>(split.value(), item, kind,
+                                             registry, "write reply");
   if (!decoded.ok()) return decoded.status();
   const WriteReply& reply = decoded.value();
-  if (reply.query_id != split.value().query_id) {
-    return Status::Corruption(
-        "write reply: payload query_id " + std::to_string(reply.query_id) +
-        " disagrees with the envelope's " +
-        std::to_string(split.value().query_id));
-  }
-  if (reply.sub_id != item.sub_id) {
-    return Status::Corruption(
-        "write reply: payload sub_id " + std::to_string(reply.sub_id) +
-        " disagrees with the envelope's " + std::to_string(item.sub_id));
-  }
   for (size_t i = 1; i < reply.failed_keys.size(); ++i) {
     if (reply.failed_keys[i] <= reply.failed_keys[i - 1]) {
       return Status::Corruption(

@@ -27,6 +27,17 @@
 //   [u16 magic 0xFAB1][u8 version][u8 codec][u8 trace_flags]
 //   [varint query_id][varint count]
 //   count x { [varint sub_id][varint attempt][varint length][payload] }
+//
+// Reply-frame contract: a reply frame answers exactly one request frame.
+// The worker serves every item of a SubQueryBatch frame and ships one
+// reply frame holding one SubQueryReply per item, in the request's item
+// order, with the request's query_id, sub_ids, attempt ordinals and
+// trace flags in the envelope. The layout above is shared, so a reply
+// frame of one (EncodeReplyFrame) and of many (EncodeReplyBatch) are the
+// same message type and version and decode through one parser. The
+// master validates a reply frame as a unit: if it fails (corruption in
+// flight, a demux mismatch, disagreement with the transport metadata),
+// every item it carried fails over.
 #pragma once
 
 #include <cstdint>
@@ -164,6 +175,39 @@ Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry);
 
+/// A decoded and validated reply frame: the envelope trace context plus
+/// one SubQueryReply per item, with the attempt ordinals the worker
+/// echoed.
+struct DecodedReplyBatch {
+  uint64_t query_id = 0;
+  uint8_t trace_flags = 0;
+  std::vector<SubQueryReply> replies;
+  std::vector<uint32_t> attempts;  ///< parallel to `replies`
+};
+
+/// Encodes a reply frame: one SubQueryReply per item of the request
+/// frame it answers, in the request frame's order, framed with the same
+/// envelope context (query_id from the replies, each reply's sub_id, the
+/// request's attempt ordinals from `attempts`, the request's trace
+/// flags). The layout is the request frame's; no message type or
+/// version distinguishes a reply frame of one from one of many.
+void EncodeReplyBatch(std::span<const SubQueryReply> replies,
+                      std::span<const uint32_t> attempts,
+                      uint8_t trace_flags, WireCodecKind kind,
+                      const CompactCodec& registry, WireBuffer& out);
+
+/// Decodes and validates a reply frame with the same item-set rules as
+/// DecodeSubQueryBatch — at least one reply, no duplicate sub_id,
+/// envelope/payload query_id and sub_id agreement — plus the
+/// demultiplexer's check: a frame naming a query other than
+/// `expected_query_id` is kCorruption, so a reply that slipped onto the
+/// wrong query's channel is never folded. Any violation fails the whole
+/// frame; the master then fails over every item it carried.
+Result<DecodedReplyBatch> DecodeReplyBatch(std::span<const std::byte> frame,
+                                           WireCodecKind kind,
+                                           const CompactCodec& registry,
+                                           uint64_t expected_query_id);
+
 /// A decoded and validated single-reply frame with its envelope context.
 struct DecodedReplyFrame {
   uint8_t trace_flags = 0;
@@ -171,25 +215,22 @@ struct DecodedReplyFrame {
   SubQueryReply reply;
 };
 
-/// Encodes one SubQueryReply as a single-item frame. The envelope echoes
-/// the reply's query_id/sub_id plus the request's attempt ordinal and
-/// trace flags, so the master can re-link the reply without trusting the
-/// payload alone.
+/// Encodes one SubQueryReply as a reply frame of one (EncodeReplyBatch
+/// with a single item).
 void EncodeReplyFrame(const SubQueryReply& reply, uint32_t attempt,
                       uint8_t trace_flags, WireCodecKind kind,
                       const CompactCodec& registry, WireBuffer& out);
 
-/// Decodes a single-item reply frame (kCorruption on anything malformed,
+/// Decodes a reply frame that must hold exactly one reply, through the
+/// same parser as DecodeReplyBatch (kCorruption on anything malformed,
 /// including a frame holding more than one payload or an envelope whose
 /// query_id/sub_id disagree with the decoded reply's).
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry);
 
-/// Query-id-checked variant for demultiplexed reply channels: beyond
-/// frame validation, a decoded reply whose query_id differs from
-/// `expected_query_id` is kCorruption — a reply that slipped onto the
-/// wrong query's channel must never be folded into its result.
+/// Query-id-checked variant for demultiplexed reply channels (the
+/// DecodeReplyBatch demux check on a frame of one).
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry,

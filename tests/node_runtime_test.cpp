@@ -4,6 +4,7 @@
 // sheds, in-flight reply corruption, and the real four-stage timestamps.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <latch>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include "cluster/in_process_cluster.hpp"
 #include "cluster/node_runtime.hpp"
+#include "fault/fault_injector.hpp"
 #include "store/row.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "trace/stage_trace.hpp"
@@ -144,7 +146,9 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
                             std::span<const Micros>(&extra, 1))
                   .ok());
 
-  const NodeRuntime::DecodedReply reply = runtime.AwaitReply(42);
+  const std::vector<NodeRuntime::DecodedReply> frame = runtime.AwaitReply(42);
+  ASSERT_EQ(frame.size(), 1u);  // one reply frame answers one request frame
+  const NodeRuntime::DecodedReply& reply = frame.front();
   EXPECT_EQ(reply.node, 1u);
   EXPECT_EQ(reply.sub_id, 7u);
   EXPECT_TRUE(reply.store_read);
@@ -215,10 +219,138 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
 
   release_worker.count_down();
-  EXPECT_TRUE(runtime.AwaitReply(9).reply.ok());
-  EXPECT_TRUE(runtime.AwaitReply(9).reply.ok());
+  for (int frame = 0; frame < 2; ++frame) {
+    const std::vector<NodeRuntime::DecodedReply> replies =
+        runtime.AwaitReply(9);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_TRUE(replies.front().reply.ok());
+  }
   EXPECT_EQ(runtime.wire_stats().frames_sent, 2u);  // the reject sent nothing
   runtime.EndQuery(9);
+}
+
+// A frame is the unit of work on both sides: one binding per request
+// frame, every item served through it, and one reply frame back holding
+// one reply per item in dispatch order.
+TEST(NodeRuntimeTest, OneReplyFrameAnswersABatchedFrame) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  std::atomic<int> bindings{0};
+  NodeRuntime runtime(
+      2, NodeRuntimeOptions{},
+      [&](uint32_t node, const std::string& table) -> ItemServer {
+        ++bindings;
+        EXPECT_EQ(node, 1u);
+        EXPECT_EQ(table, "t");
+        return [](const SubQueryRequest& req, ReadProbe*)
+                   -> Result<OperatorResult> {
+          if (req.sub_id == 3) return Status::NotFound(req.partition_key);
+          return OperatorResult{{req.sub_id}, {req.expected_elements}};
+        };
+      },
+      registry, nullptr, nullptr, nullptr);
+  ASSERT_TRUE(runtime.BeginQuery(5, NodeRuntime::QueryOptions{}).ok());
+
+  std::vector<SubQueryRequest> requests(5);
+  std::vector<uint32_t> attempts = {0, 1, 0, 2, 0};
+  std::vector<Micros> extras(5, 0.0);
+  for (uint32_t i = 0; i < 5; ++i) {
+    requests[i].query_id = 5;
+    requests[i].sub_id = i;
+    requests[i].table = "t";
+    requests[i].partition_key = "p" + std::to_string(i);
+    requests[i].expected_elements = 10 + i;
+  }
+  ASSERT_TRUE(runtime.Dispatch(5, 1, requests, attempts, extras).ok());
+
+  const std::vector<NodeRuntime::DecodedReply> frame = runtime.AwaitReply(5);
+  ASSERT_EQ(frame.size(), 5u);
+  EXPECT_EQ(bindings.load(), 1);  // store and table resolved once
+  for (uint32_t i = 0; i < 5; ++i) {
+    const NodeRuntime::DecodedReply& r = frame[i];
+    EXPECT_EQ(r.node, 1u);
+    EXPECT_EQ(r.sub_id, i);
+    EXPECT_EQ(r.attempt, attempts[i]);
+    EXPECT_TRUE(r.store_read);
+    ASSERT_TRUE(r.reply.ok());
+    EXPECT_EQ(r.reply.value().sub_id, i);
+    EXPECT_EQ(r.issued_us, frame[0].issued_us);  // the frame's stamps
+    EXPECT_EQ(r.received_us, frame[0].received_us);
+    EXPECT_LE(r.received_us, r.db_start_us);
+    EXPECT_LE(r.db_start_us, r.db_end_us);
+    if (i > 0) {
+      EXPECT_LE(frame[i - 1].db_end_us, r.db_start_us);  // served in order
+    }
+    if (i == 3) {
+      EXPECT_EQ(r.reply.value().status,
+                static_cast<uint32_t>(StatusCode::kNotFound));
+      continue;
+    }
+    EXPECT_EQ(r.reply.value().status, 0u);
+    EXPECT_EQ(r.reply.value().type_ids, (std::vector<uint64_t>{i}));
+    EXPECT_EQ(r.reply.value().counts, (std::vector<uint64_t>{10 + i}));
+  }
+  // One request frame out, one reply frame back.
+  const NodeRuntime::WireStats wire = runtime.query_wire_stats(5);
+  EXPECT_EQ(wire.frames_sent, 1u);
+  EXPECT_GT(wire.bytes_received, 0u);
+  runtime.EndQuery(5);
+}
+
+// Liveness is checked once, when a worker dequeues a frame: a node killed
+// while a frame waits in its queue bounces every item of that frame with
+// kUnavailable, and none of them reaches the store.
+TEST(NodeRuntimeTest, KillWhileQueuedBouncesEveryItemOfTheFrame) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  FaultInjector injector;
+  std::latch worker_started(1);
+  std::latch release_worker(1);
+  std::atomic<int> served{0};
+  NodeRuntime runtime(
+      1, NodeRuntimeOptions{},
+      [&](uint32_t, const SubQueryRequest& req, ReadProbe*)
+          -> Result<OperatorResult> {
+        ++served;
+        if (req.sub_id == 0) {
+          worker_started.count_down();
+          release_worker.wait();
+        }
+        return OperatorResult{};
+      },
+      registry, &injector, nullptr, nullptr);
+  ASSERT_TRUE(runtime.BeginQuery(3, NodeRuntime::QueryOptions{}).ok());
+
+  auto dispatch = [&](std::vector<uint32_t> sub_ids) {
+    std::vector<SubQueryRequest> requests(sub_ids.size());
+    for (size_t i = 0; i < sub_ids.size(); ++i) {
+      requests[i].query_id = 3;
+      requests[i].sub_id = sub_ids[i];
+      requests[i].table = "t";
+    }
+    const std::vector<uint32_t> attempts(sub_ids.size(), 0);
+    const std::vector<Micros> extras(sub_ids.size(), 0.0);
+    return runtime.Dispatch(3, 0, requests, attempts, extras);
+  };
+  ASSERT_TRUE(dispatch({0}).ok());
+  worker_started.wait();  // the only worker holds frame {0}
+  ASSERT_TRUE(dispatch({1, 2, 3}).ok());
+  injector.KillNode(0);  // dies while frame {1, 2, 3} is queued
+  release_worker.count_down();
+
+  const auto first = runtime.AwaitReply(3);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_TRUE(first.front().store_read);  // dequeued before the kill
+  const auto second = runtime.AwaitReply(3);
+  ASSERT_EQ(second.size(), 3u);
+  for (const NodeRuntime::DecodedReply& r : second) {
+    EXPECT_FALSE(r.store_read);
+    ASSERT_TRUE(r.reply.ok());
+    EXPECT_EQ(r.reply.value().status,
+              static_cast<uint32_t>(StatusCode::kUnavailable));
+  }
+  EXPECT_EQ(served.load(), 1);
+  runtime.EndQuery(3);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +590,71 @@ TEST(MessageGatherTest, CorruptedRepliesAreDetectedAndFailedOver) {
   EXPECT_EQ(injector.corrupted_replies(), before);
 }
 
+// Reply corruption is frame-granular once a frame carries many replies:
+// one firing item's decision spoils the whole reply frame, and every item
+// it carried fails over and is tallied as an error on the node that
+// served it. The expected tallies are replayed from a twin injector: the
+// first-round frames are one per node (each partition's primary), and
+// every retry travels alone.
+TEST(MessageGatherTest, BatchedCorruptedRepliesFailOverPerFrame) {
+  InProcessCluster cluster(3, PlacementKind::kDhtRandom, StoreOptions{}, 7,
+                           2);
+  TypeCounts truth;
+  const WorkloadSpec workload = LoadUniform(cluster, 40, 8, &truth);
+  cluster.FlushAll();
+
+  FaultConfig config;
+  config.seed = 4242;
+  config.reply_corrupt_rate = 0.1;
+  FaultInjector injector(config);
+  cluster.AttachFaultInjector(&injector);
+  const FaultInjector twin(config);
+  const uint32_t max_attempts = 8;
+
+  // First round: a node's frame is corrupted when any of its items fires.
+  std::vector<bool> frame_corrupted(cluster.node_count(), false);
+  uint64_t fired = 0;
+  for (const PartitionRef& part : workload.partitions) {
+    const NodeId primary = cluster.ReplicasOf(part.key)[0];
+    if (twin.ShouldCorruptReply(primary, part.key, 0)) {
+      frame_corrupted[primary] = true;
+      ++fired;
+    }
+  }
+  std::vector<uint64_t> expected_errors(cluster.node_count(), 0);
+  uint64_t expected_retries = 0;
+  for (const PartitionRef& part : workload.partitions) {
+    const std::vector<NodeId> replicas = cluster.ReplicasOf(part.key);
+    if (!frame_corrupted[replicas[0]]) continue;
+    ++expected_errors[replicas[0]];
+    // Retries are single-item frames: each fails only on its own draw.
+    for (uint32_t a = 1; a < max_attempts; ++a) {
+      ++expected_retries;
+      const NodeId target = replicas[a % replicas.size()];
+      if (!twin.ShouldCorruptReply(target, part.key, a)) break;
+      ++fired;
+      ++expected_errors[target];
+    }
+  }
+  uint64_t expected_total = 0;
+  for (const uint64_t e : expected_errors) expected_total += e;
+  // The scenario must exercise frame granularity: more items failed over
+  // than item-level decisions fired.
+  ASSERT_GT(expected_total, fired);
+
+  GatherOptions options;
+  options.transport = GatherTransport::kMessage;
+  options.batch = true;
+  options.max_attempts = max_attempts;
+  const GatherResult result = cluster.CountByTypeAll(workload, options);
+
+  EXPECT_EQ(result.totals, truth);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(result.errors_per_node, expected_errors);
+  EXPECT_EQ(result.retries, expected_retries);
+  EXPECT_EQ(injector.corrupted_replies(), fired);
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry: stage timestamps and wire instruments
 
@@ -519,6 +716,37 @@ TEST(MessageGatherTest, ExportsWireCountersAndQueueGauges) {
   EXPECT_GT(registry.GetHistogram("wire.decode.latency_us").Count(), 0u);
   EXPECT_GT(registry.GetHistogram("cluster.queue.wait_us").Count(), 0u);
   // The per-node depth gauges exist (drained back to zero by the end).
+  EXPECT_EQ(registry.GetGauge("cluster.queue.depth.node0").Value(), 0.0);
+  EXPECT_EQ(registry.GetGauge("cluster.queue.depth.node1").Value(), 0.0);
+}
+
+// Batched: one request encode and one reply encode per frame — the reply
+// side answers a frame with a frame, not with one frame per item.
+TEST(MessageGatherTest, ExportsWireCountersAndQueueGaugesBatched) {
+  MetricsRegistry registry;
+  InProcessCluster cluster(2, PlacementKind::kDhtRandom, StoreOptions{}, 7);
+  cluster.AttachTelemetry(nullptr, &registry);
+  const WorkloadSpec workload = LoadUniform(cluster, 20, 5);
+  cluster.FlushAll();
+
+  GatherOptions options;
+  options.transport = GatherTransport::kMessage;
+  options.batch = true;
+  const GatherResult result = cluster.CountByTypeAll(workload, options);
+  ASSERT_EQ(result.failed, 0u);
+
+  EXPECT_LT(result.wire_frames_sent, result.subqueries);  // coalesced
+  EXPECT_EQ(registry.GetCounter("wire.frames.sent").Value(),
+            result.wire_frames_sent);
+  EXPECT_EQ(registry.GetCounter("wire.bytes.sent").Value(),
+            result.wire_bytes_sent);
+  EXPECT_EQ(registry.GetCounter("wire.bytes.received").Value(),
+            result.wire_bytes_received);
+  EXPECT_EQ(registry.GetHistogram("wire.encode.latency_us").Count(),
+            2 * result.wire_frames_sent);
+  EXPECT_EQ(registry.GetHistogram("wire.decode.latency_us").Count(),
+            2 * result.wire_frames_sent);
+  EXPECT_GT(registry.GetHistogram("cluster.queue.wait_us").Count(), 0u);
   EXPECT_EQ(registry.GetGauge("cluster.queue.depth.node0").Value(), 0.0);
   EXPECT_EQ(registry.GetGauge("cluster.queue.depth.node1").Value(), 0.0);
 }

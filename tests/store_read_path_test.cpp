@@ -133,7 +133,7 @@ TEST_P(StoreReadPath, OperatorsMatchMaterialisedReads) {
     } else if (dice < 88) {  // flush (may trigger a size-tiered merge)
       table->Flush();
     } else if (dice < 93) {  // full compaction purges tombstones
-      table->Compact();
+      EXPECT_TRUE(table->Compact().ok());
       ++full_compactions;
     } else if (dice < 96) {  // snapshot reload into a fresh table
       ASSERT_TRUE(table->SaveSnapshot(snapshot_path_).ok());

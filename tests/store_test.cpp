@@ -2,6 +2,7 @@
 // block cache, table read/write/flush/compact paths.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -415,7 +416,7 @@ TEST(TableTest, CompactMergesToOneSegment) {
   }
   EXPECT_EQ(table.segment_count(), 4u);
   const auto before = table.GetPartition("p0");
-  table.Compact();
+  EXPECT_TRUE(table.Compact().ok());
   EXPECT_EQ(table.segment_count(), 1u);
   const auto after = table.GetPartition("p0");
   ASSERT_TRUE(before.ok());
@@ -429,7 +430,7 @@ TEST(TableTest, CompactResolvesOverwrites) {
   table.Flush();
   table.Put("p", MakeColumn(1, 2));
   table.Flush();
-  table.Compact();
+  EXPECT_TRUE(table.Compact().ok());
   auto cols = table.GetPartition("p");
   ASSERT_TRUE(cols.ok());
   ASSERT_EQ(cols.value().size(), 1u);
@@ -444,6 +445,74 @@ TEST(TableTest, CountByTypeAggregates) {
   ASSERT_TRUE(counts.ok());
   ASSERT_EQ(counts.value().size(), 3u);
   for (const auto& [type, count] : counts.value()) EXPECT_EQ(count, 30u);
+}
+
+// The count loop emits ascending (type, count) columns with no map: the
+// dense small ids and the sorted large ones meet in one ascending run.
+TEST(TableTest, CountByTypeColumnsAscendAcrossSmallAndLargeTypeIds) {
+  Table table("t", SmallTableOptions(), nullptr);
+  const uint32_t types[] = {900, 3, 64, 0, 63, 900, 70000, 3, 64, 900};
+  for (uint64_t i = 0; i < std::size(types); ++i) {
+    table.Put("p", MakeColumn(i, types[i]));
+  }
+  table.Flush();
+  std::vector<uint64_t> type_ids;
+  std::vector<uint64_t> counts;
+  ASSERT_TRUE(table.CountByTypeColumns("p", type_ids, counts).ok());
+  EXPECT_EQ(type_ids, (std::vector<uint64_t>{0, 3, 63, 64, 900, 70000}));
+  EXPECT_EQ(counts, (std::vector<uint64_t>{1, 2, 1, 2, 3, 1}));
+  // CountByType is the same loop seen as a map.
+  auto map = table.CountByType("p");
+  ASSERT_TRUE(map.ok());
+  EXPECT_EQ(map.value(), (TypeCounts{{0, 1}, {3, 2}, {63, 1}, {64, 2},
+                                     {900, 3}, {70000, 1}}));
+  EXPECT_EQ(table.CountByTypeColumns("absent", type_ids, counts).code(),
+            StatusCode::kNotFound);
+}
+
+// A block that fails its checksum must fail a full compaction rather
+// than vanish into it: the input segments stay, so the partition keeps
+// failing loudly instead of its cells silently disappearing.
+TEST(TableTest, CompactionFailsOnADamagedBlockAndKeepsTheSegments) {
+  Table table("t", SmallTableOptions(), nullptr);
+  for (uint64_t i = 0; i < 40; ++i) table.Put("a", MakeColumn(i, i % 3));
+  table.Flush();
+  for (uint64_t i = 0; i < 40; ++i) table.Put("b", MakeColumn(i, i % 3));
+  table.Flush();
+  ASSERT_EQ(table.segment_count(), 2u);
+  ASSERT_TRUE(table.CorruptBlockForFaultInjection(0, 0, 12345).ok());
+
+  const Status compacted = table.Compact();
+  EXPECT_EQ(compacted.code(), StatusCode::kCorruption);
+  EXPECT_EQ(table.segment_count(), 2u);
+  EXPECT_EQ(table.compaction_failures(), 1u);
+  const auto damaged = table.CountByType("a");
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
+  const auto clean = table.CountByType("b");
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean.value().at(0), 14u);
+}
+
+// The size-tiered path behind a flush meets the same damage: it leaves
+// the segments as they were and counts the abandoned merge.
+TEST(TableTest, AutoCompactionKeepsSegmentsBehindADamagedBlock) {
+  TableOptions opt = SmallTableOptions();
+  opt.compaction_min_segments = 2;
+  opt.compaction_size_ratio = 100.0;
+  Table table("t", opt, nullptr);
+  for (uint64_t i = 0; i < 40; ++i) table.Put("a", MakeColumn(i, i % 3));
+  table.Flush();
+  ASSERT_EQ(table.segment_count(), 1u);
+  ASSERT_TRUE(table.CorruptBlockForFaultInjection(0, 0, 777).ok());
+  for (uint64_t i = 0; i < 40; ++i) table.Put("b", MakeColumn(i, i % 3));
+  table.Flush();  // two segments in one tier: the merge is attempted
+
+  EXPECT_EQ(table.segment_count(), 2u);
+  EXPECT_EQ(table.auto_compactions(), 0u);
+  EXPECT_EQ(table.compaction_failures(), 1u);
+  EXPECT_EQ(table.CountByType("a").status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(table.CountByType("b").ok());
 }
 
 TEST(TableTest, SliceMergesMemtableAndSegments) {
@@ -621,7 +690,7 @@ TEST(TableDeleteTest, CompactionPurgesTombstones) {
   for (uint64_t i = 0; i < 50; ++i) table.Delete("p", i * 2);
   table.Flush();
   const uint64_t before = table.column_count();  // values + tombstones
-  table.Compact();
+  EXPECT_TRUE(table.Compact().ok());
   // After a full compaction only the 50 live cells remain on disk.
   EXPECT_EQ(table.column_count(), 50u);
   EXPECT_LT(table.column_count(), before);
@@ -636,7 +705,7 @@ TEST(TableDeleteTest, FullyDeletedPartitionDisappearsAfterCompaction) {
   table.Put("kept", MakeColumn(1, 0));
   table.Flush();
   table.Delete("doomed", 1);
-  table.Compact();
+  EXPECT_TRUE(table.Compact().ok());
   EXPECT_FALSE(table.HasPartition("doomed"));
   EXPECT_TRUE(table.HasPartition("kept"));
 }

@@ -3,6 +3,7 @@
 // byte soup (must never crash or accept garbage silently as structure).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -584,6 +585,233 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrashTheWriteFrameDecoders) {
         EXPECT_EQ(reply.status().code(), StatusCode::kCorruption);
       }
     }
+  }
+}
+
+SubQueryReply RandomReply(Rng& rng, uint64_t query_id, uint32_t sub_id) {
+  SubQueryReply msg;
+  msg.query_id = query_id;
+  msg.sub_id = sub_id;
+  msg.node = static_cast<uint32_t>(rng.Below(64));
+  msg.status = static_cast<uint32_t>(rng.Below(8));
+  const size_t entries = rng.Below(12);
+  for (size_t i = 0; i < entries; ++i) {
+    msg.type_ids.push_back(rng.Next());
+    msg.counts.push_back(rng.Next());
+  }
+  msg.db_micros = rng.Uniform(0.0, 1e6);
+  return msg;
+}
+
+bool Equal(const SubQueryReply& a, const SubQueryReply& b) {
+  return a.query_id == b.query_id && a.sub_id == b.sub_id &&
+         a.node == b.node && a.status == b.status &&
+         a.type_ids == b.type_ids && a.counts == b.counts &&
+         a.db_micros == b.db_micros;
+}
+
+/// Frames already-encoded reply payloads under arbitrary envelope
+/// coordinates, so a test can make the envelope lie.
+void FrameReplies(WireCodecKind kind, const CompactCodec& codec,
+                  uint64_t envelope_query_id,
+                  const std::vector<SubQueryReply>& replies,
+                  const std::vector<uint32_t>& envelope_sub_ids,
+                  WireBuffer& out) {
+  std::vector<WireBuffer> items(replies.size());
+  for (size_t i = 0; i < replies.size(); ++i) {
+    EncodeWith(kind, codec, replies[i], items[i]);
+  }
+  const std::vector<uint32_t> attempts(replies.size(), 0);
+  EncodeFrame(kind, envelope_query_id, 0, envelope_sub_ids, attempts, items,
+              out);
+}
+
+// A reply frame of many answers a request frame of many: every reply,
+// attempt and the trace flags survive the round trip, and every
+// truncation fails as kCorruption.
+TEST_P(WireFuzzTest, ReplyBatchRoundTripsAndRejectsEveryTruncation) {
+  Rng rng(GetParam() ^ 0x4e4e);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  for (int round = 0; round < 20; ++round) {
+    const size_t n = 1 + rng.Below(16);
+    const uint64_t query_id = rng.Next();
+    const uint8_t trace_flags = round % 2 == 0 ? kTraceSampled : 0;
+    std::vector<SubQueryReply> replies;
+    std::vector<uint32_t> attempts;
+    for (size_t i = 0; i < n; ++i) {
+      // Ascending but sparse sub_ids, as a node's share of a gather.
+      replies.push_back(
+          RandomReply(rng, query_id, static_cast<uint32_t>(3 * i + 1)));
+      attempts.push_back(static_cast<uint32_t>(rng.Below(4)));
+    }
+    for (const WireCodecKind kind :
+         {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+      WireBuffer frame;
+      EncodeReplyBatch(replies, attempts, trace_flags, kind, codec, frame);
+      auto decoded = DecodeReplyBatch(frame.data(), kind, codec, query_id);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(decoded.value().query_id, query_id);
+      EXPECT_EQ(decoded.value().trace_flags, trace_flags);
+      EXPECT_EQ(decoded.value().attempts, attempts);
+      ASSERT_EQ(decoded.value().replies.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(Equal(decoded.value().replies[i], replies[i]));
+      }
+      // The single-reply decoder shares the parser and its contract: a
+      // frame of several replies is not a frame of one.
+      if (n > 1) {
+        EXPECT_EQ(DecodeReplyFrame(frame.data(), kind, codec).status().code(),
+                  StatusCode::kCorruption);
+      }
+      const auto data = frame.data();
+      for (size_t cut = 0; cut < data.size(); ++cut) {
+        auto cut_frame =
+            DecodeReplyBatch(data.subspan(0, cut), kind, codec, query_id);
+        ASSERT_FALSE(cut_frame.ok()) << WireCodecName(kind) << " cut=" << cut;
+        EXPECT_EQ(cut_frame.status().code(), StatusCode::kCorruption)
+            << WireCodecName(kind) << " cut=" << cut;
+      }
+    }
+  }
+}
+
+// The reply-frame decoder's battery: everything the master relies on to
+// fail a frame over as a unit is refused as kCorruption.
+TEST_P(WireFuzzTest, ReplyFrameDecoderRejectsMalformedFrames) {
+  Rng rng(GetParam() ^ 0x5d5d);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  const uint64_t query_id = 9000 + GetParam();
+  for (const WireCodecKind kind :
+       {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+    auto expect_corruption = [&](const WireBuffer& frame,
+                                 const std::string& what) {
+      auto decoded = DecodeReplyBatch(frame.data(), kind, codec, query_id);
+      ASSERT_FALSE(decoded.ok()) << WireCodecName(kind) << ": " << what;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+          << WireCodecName(kind) << ": " << what;
+    };
+
+    // An empty frame answers nothing.
+    WireBuffer empty;
+    FrameReplies(kind, codec, query_id, {}, {}, empty);
+    expect_corruption(empty, "empty frame");
+
+    // A duplicate sub_id would fold one answer twice — adjacent or not.
+    const std::vector<SubQueryReply> dup = {RandomReply(rng, query_id, 5),
+                                            RandomReply(rng, query_id, 2),
+                                            RandomReply(rng, query_id, 5)};
+    WireBuffer duplicate;
+    FrameReplies(kind, codec, query_id, dup, {5, 2, 5}, duplicate);
+    expect_corruption(duplicate, "duplicate sub_id");
+
+    // The envelope names another sub-query than the payload answers.
+    const std::vector<SubQueryReply> two = {RandomReply(rng, query_id, 1),
+                                            RandomReply(rng, query_id, 2)};
+    WireBuffer mismatch;
+    FrameReplies(kind, codec, query_id, two, {1, 3}, mismatch);
+    expect_corruption(mismatch, "envelope/payload sub_id mismatch");
+
+    // A payload owned by another query than its envelope.
+    const std::vector<SubQueryReply> foreign = {
+        RandomReply(rng, query_id, 1), RandomReply(rng, query_id + 1, 2)};
+    WireBuffer payload_query;
+    FrameReplies(kind, codec, query_id, foreign, {1, 2}, payload_query);
+    expect_corruption(payload_query, "payload query_id");
+
+    // A consistent frame of another query: the demultiplexer's check.
+    const std::vector<SubQueryReply> stray = {
+        RandomReply(rng, query_id + 1, 1), RandomReply(rng, query_id + 1, 2)};
+    WireBuffer wrong_query;
+    FrameReplies(kind, codec, query_id + 1, stray, {1, 2}, wrong_query);
+    expect_corruption(wrong_query, "wrong query_id");
+    auto demux = DecodeReplyBatch(wrong_query.data(), kind, codec, query_id);
+    ASSERT_FALSE(demux.ok());
+    EXPECT_NE(demux.status().message().find("demux"), std::string::npos);
+
+    // A count claiming more items than the frame holds: once just past
+    // the items present, once far past the bytes present.
+    auto write_header = [&](uint64_t count, WireBuffer& out) {
+      out.WriteU16(kFrameMagic);
+      out.WriteU8(kFrameVersion);
+      out.WriteU8(static_cast<uint8_t>(kind));
+      out.WriteU8(0);
+      out.WriteVarint(query_id);
+      out.WriteVarint(count);
+    };
+    WireBuffer honest;
+    FrameReplies(kind, codec, query_id, two, {1, 2}, honest);
+    WireBuffer honest_header;
+    write_header(2, honest_header);
+    const auto items = honest.data().subspan(honest_header.size());
+    for (const uint64_t claimed : {uint64_t{3}, uint64_t{1} << 40}) {
+      WireBuffer overrun;
+      write_header(claimed, overrun);
+      for (const std::byte b : items) overrun.WriteU8(static_cast<uint8_t>(b));
+      expect_corruption(overrun, "count overrun " + std::to_string(claimed));
+    }
+  }
+}
+
+// SplitFrame skips each payload in O(1): the payload views must still
+// land exactly on each item's bytes, and a length prefix that overruns
+// the frame — by one byte or into the next item — or a truncated payload
+// must still fail as kCorruption.
+TEST_P(WireFuzzTest, OverrunAndTruncatedPayloadsFailWithCorruption) {
+  Rng rng(GetParam() ^ 0x6a6a);
+  const size_t n = 2 + rng.Below(4);
+  std::vector<std::vector<std::byte>> payloads(n);
+  for (auto& payload : payloads) {
+    payload.resize(1 + rng.Below(300));  // multi-byte length varints too
+    for (auto& b : payload) b = static_cast<std::byte>(rng.Below(256));
+  }
+  // Builds a frame whose item `lie` claims `extra` more bytes than it has.
+  auto build = [&](size_t lie, uint64_t extra) {
+    WireBuffer frame;
+    frame.WriteU16(kFrameMagic);
+    frame.WriteU8(kFrameVersion);
+    frame.WriteU8(static_cast<uint8_t>(WireCodecKind::kCompact));
+    frame.WriteU8(0);
+    frame.WriteVarint(1);
+    frame.WriteVarint(n);
+    for (size_t i = 0; i < n; ++i) {
+      frame.WriteVarint(i);
+      frame.WriteVarint(0);
+      frame.WriteVarint(payloads[i].size() + (i == lie ? extra : 0));
+      for (const std::byte b : payloads[i]) {
+        frame.WriteU8(static_cast<uint8_t>(b));
+      }
+    }
+    return frame;
+  };
+
+  const WireBuffer honest = build(n, 0);
+  auto split = SplitFrame(honest.data(), WireCodecKind::kCompact);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  ASSERT_EQ(split.value().items.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto view = split.value().items[i].payload;
+    ASSERT_EQ(view.size(), payloads[i].size());
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), payloads[i].begin()));
+    EXPECT_GE(view.data(), honest.data().data());
+    EXPECT_LE(view.data() + view.size(),
+              honest.data().data() + honest.data().size());
+  }
+
+  for (size_t lie = 0; lie < n; ++lie) {
+    for (const uint64_t extra : {uint64_t{1}, uint64_t{2}, uint64_t{1} << 33}) {
+      const WireBuffer frame = build(lie, extra);
+      auto lied = SplitFrame(frame.data(), WireCodecKind::kCompact);
+      ASSERT_FALSE(lied.ok()) << "lie=" << lie << " extra=" << extra;
+      EXPECT_EQ(lied.status().code(), StatusCode::kCorruption);
+    }
+  }
+  const auto data = honest.data();
+  for (size_t cut = 0; cut < data.size(); ++cut) {
+    auto cut_frame = SplitFrame(data.subspan(0, cut), WireCodecKind::kCompact);
+    ASSERT_FALSE(cut_frame.ok()) << "cut=" << cut;
+    EXPECT_EQ(cut_frame.status().code(), StatusCode::kCorruption);
   }
 }
 

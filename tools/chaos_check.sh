@@ -14,10 +14,11 @@ cmake --build --preset asan-ubsan -j"$(nproc)"
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1"
 
-# The suites that exercise fault injection, failover, torn WALs, and the
-# concurrent gather paths.
+# The suites that exercise fault injection, failover, torn WALs, the
+# concurrent gather paths, and the message path (frame codecs, the node
+# runtime's frame-granular replies, reply corruption, trace context).
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'FaultInjector|ClusterFaultTolerance|CommitLog|InProcessCluster|ReplicatedSim|StoreConcurrency|StoreReadPath|Membership|MigrationFault|QueryPlan|BoxQuery|WireFuzz|WritePath'
+  -R 'FaultInjector|ClusterFaultTolerance|CommitLog|InProcessCluster|ReplicatedSim|StoreConcurrency|StoreReadPath|Membership|MigrationFault|QueryPlan|BoxQuery|WireFuzz|WritePath|MessageGather|NodeRuntime|TracePropagation'
 
 # One sanitized end-to-end chaos run: replication 3, a dead node, flaky
 # reads, and corrupted segment blocks must still produce a full answer.
