@@ -1,14 +1,21 @@
-// The query-plan gather engine: every transport's scatter/gather.
+// The query-plan gather engine: one scatter/gather loop for every
+// transport.
 //
 // This TU holds the execution half of InProcessCluster — the part that
-// runs a QueryPlan. The one failover decision loop
-// (SubQueryFailover::NextAttempt) is shared verbatim by the direct,
-// parallel, and message transports: it decides which replica an attempt
-// targets, when a retry backs off on the caller's virtual clock, when a
-// hedge races a second copy, and when a ring-epoch bump forces the
-// replica set to be re-resolved. The transports differ only in how a
-// viable attempt reaches a store (plain call vs encoded frame) and how
-// its answer comes back; folding is the plan's PlanFold either way.
+// runs a QueryPlan. One loop (RunGather) routes every sub-query, asks the
+// shared failover decision loop (SubQueryFailover::NextAttempt) for its
+// next viable attempt — which replica it targets, when a retry backs off
+// on the gather's virtual clock, when a hedge races a second copy, and
+// when a ring-epoch bump forces the replica set to be re-resolved —
+// sends it per node or per item, awaits one reply frame at a time, and
+// settles or fails over every item the frame answers. The loop drives two
+// transports through the same two calls, Dispatch and AwaitReply:
+//   - LocalTransport serves request frames against the nodes' stores in
+//     process, on the caller's thread or over GatherParallel's threads;
+//   - MessageTransport sends them as encoded frames through the shared
+//     NodeRuntime, falling back to the local path for a node the runtime
+//     predates.
+// Folding is the plan's PlanFold either way.
 //
 // Membership, placement, and storage plumbing stay in
 // in_process_cluster.cpp.
@@ -20,6 +27,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <thread>
 
 #include "cluster/query_ops.hpp"
@@ -32,6 +40,8 @@
 namespace kvscale {
 
 namespace {
+
+using DecodedReply = NodeRuntime::DecodedReply;
 
 double ElapsedMicros(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::micro>(
@@ -46,14 +56,234 @@ void EnsureSlot(std::vector<T>& v, size_t node) {
   if (v.size() <= node) v.resize(node + 1);
 }
 
+/// The in-process transport: serves each request frame against the
+/// target node's store through the cluster's frame binding and answers
+/// it with one reply frame, as a runtime worker would, minus the codec
+/// and the queue. With one thread a frame is served on the caller's
+/// thread as it is sent; with more, sent frames wait, and the next
+/// AwaitReply serves that whole round over the threads and hands the
+/// replies back in send order. Injected latency is charged to the
+/// gather's virtual clock at send time.
+class LocalTransport {
+ public:
+  /// `bind` is the cluster's frame binding; with `threads` > 1, round
+  /// worker t records its span on track `first_worker_track + t`.
+  LocalTransport(FrameHandler bind, SpanTracer* spans, uint32_t threads,
+                 uint32_t first_worker_track)
+      : bind_(std::move(bind)),
+        spans_(spans),
+        threads_(threads),
+        first_worker_track_(first_worker_track) {}
+  virtual ~LocalTransport() = default;
+  LocalTransport(const LocalTransport&) = delete;
+  LocalTransport& operator=(const LocalTransport&) = delete;
+
+  /// Sends one frame of `requests` (with per-item attempt numbers and
+  /// injected latency charges) to `node`. One reply frame, holding one
+  /// reply per request, eventually comes out of AwaitReply.
+  virtual Status Dispatch(NodeId node,
+                          std::span<const SubQueryRequest> requests,
+                          std::span<const uint32_t> attempts,
+                          std::span<const Micros> extra_latency_us) {
+    for (const Micros us : extra_latency_us) AdvanceClock(us);
+    if (threads_ <= 1) {
+      ready_.push_back(Serve(node, requests, attempts));
+    } else {
+      pending_.push_back(Frame{node,
+                               {requests.begin(), requests.end()},
+                               {attempts.begin(), attempts.end()}});
+    }
+    return Status::Ok();
+  }
+
+  /// The next reply frame. Call exactly once per sent frame.
+  virtual std::vector<DecodedReply> AwaitReply() {
+    if (ready_.empty()) ServeRound();
+    KV_CHECK(!ready_.empty());
+    std::vector<DecodedReply> frame = std::move(ready_.front());
+    ready_.pop_front();
+    return frame;
+  }
+
+  /// The gather's one virtual clock: injected latency plus failover
+  /// backoff, the clock the deadline is checked against.
+  virtual Micros clock_us() const { return clock_us_; }
+  virtual void AdvanceClock(Micros us) { clock_us_ += us; }
+
+ protected:
+  /// True when no frame sent here still awaits its reply.
+  bool idle() const { return ready_.empty() && pending_.empty(); }
+
+ private:
+  struct Frame {
+    NodeId node = 0;
+    std::vector<SubQueryRequest> requests;
+    std::vector<uint32_t> attempts;
+  };
+
+  std::vector<DecodedReply> Serve(NodeId node,
+                                  std::span<const SubQueryRequest> requests,
+                                  std::span<const uint32_t> attempts) const;
+
+  /// Serves every pending frame, frame k on round worker k % workers
+  /// (the caller's thread is worker 0), and queues the replies in send
+  /// order, so the loop settles them exactly as a serial gather would.
+  void ServeRound();
+
+  FrameHandler bind_;
+  SpanTracer* spans_;
+  uint32_t threads_;
+  uint32_t first_worker_track_;
+  Micros clock_us_ = 0.0;
+  std::vector<Frame> pending_;  ///< sent, not yet served (threads > 1)
+  std::deque<std::vector<DecodedReply>> ready_;  ///< served, not yet awaited
+};
+
+std::vector<DecodedReply> LocalTransport::Serve(
+    NodeId node, std::span<const SubQueryRequest> requests,
+    std::span<const uint32_t> attempts) const {
+  std::vector<DecodedReply> replies(requests.size());
+  // The frame's store binding, made for its first item and kept while
+  // the items name the same table.
+  ItemServer serve;
+  const std::string* bound_table = nullptr;
+  for (size_t k = 0; k < requests.size(); ++k) {
+    const SubQueryRequest& request = requests[k];
+    DecodedReply& r = replies[k];
+    r.node = node;
+    r.sub_id = request.sub_id;
+    r.attempt = attempts[k];
+    r.store_read = true;
+    if (bound_table == nullptr || *bound_table != request.table) {
+      serve = bind_(node, request.table);
+      bound_table = &request.table;
+    }
+    SpanTracer::Scope read;
+    if (spans_ != nullptr) {
+      read = spans_->StartSpan("store-read", node);
+      read.Attr("partition", request.partition_key);
+      read.Attr("attempt", std::to_string(r.attempt));
+    }
+    Result<OperatorResult> columns = serve(request, &r.probe);
+    if (read.active()) {
+      read.Attr("blocks_decoded", std::to_string(r.probe.blocks_decoded));
+      read.Attr("blocks_from_cache", std::to_string(r.probe.blocks_from_cache));
+      read.Attr("bloom_negatives", std::to_string(r.probe.bloom_negatives));
+      read.End();
+    }
+    SubQueryReply reply;
+    reply.query_id = request.query_id;
+    reply.sub_id = request.sub_id;
+    reply.node = node;
+    if (columns.ok()) {
+      reply.type_ids = std::move(columns.value().col_a);
+      reply.counts = std::move(columns.value().col_b);
+    } else {
+      reply.status = static_cast<uint32_t>(columns.status().code());
+    }
+    r.reply = std::move(reply);
+  }
+  return replies;
+}
+
+void LocalTransport::ServeRound() {
+  ready_.resize(pending_.size());  // empty before: AwaitReply drained it
+  const size_t workers = std::min<size_t>(threads_, pending_.size());
+  auto work = [&](size_t t) {
+    SpanTracer::Scope span;
+    if (spans_ != nullptr) {
+      span = spans_->StartSpan("worker",
+                               first_worker_track_ + static_cast<uint32_t>(t));
+    }
+    for (size_t k = t; k < pending_.size(); k += workers) {
+      ready_[k] = Serve(pending_[k].node, pending_[k].requests,
+                        pending_[k].attempts);
+    }
+  };
+  std::vector<std::thread> pool;
+  for (size_t t = 1; t < workers; ++t) pool.emplace_back(work, t);
+  if (workers > 0) work(0);
+  for (std::thread& worker : pool) worker.join();
+  pending_.clear();
+}
+
+/// The wire transport: a thin adapter over the shared NodeRuntime for one
+/// registered query. It owns the query's admission slot (Begin / End) and
+/// its wire accounting, and the runtime's per-query clock is the gather's
+/// virtual clock (workers charge injected latency to it after serving,
+/// so a deadline can shed requests still queued). A node the runtime
+/// predates — a join raced this gather — has no queue in it, yet its
+/// store is live and may hold the only reachable copy while the
+/// migration window is open, so that node's frames take the local path
+/// instead of burning every attempt on kUnavailable.
+class MessageTransport final : public LocalTransport {
+ public:
+  MessageTransport(std::shared_ptr<NodeRuntime> runtime, uint64_t query_id,
+                   FrameHandler bind, SpanTracer* spans)
+      : LocalTransport(std::move(bind), spans, 1, 0),
+        runtime_(std::move(runtime)),
+        query_id_(query_id) {}
+
+  /// Admission: registers the query with the runtime.
+  Status Begin(const NodeRuntime::QueryOptions& options) {
+    return runtime_->BeginQuery(query_id_, options);
+  }
+
+  /// Copies the query's private wire accounting into `result` and
+  /// releases its slot. Every sent frame must have been awaited.
+  void End(GatherResult& result) {
+    result.queue_wait_us = runtime_->query_queue_wait_us(query_id_);
+    const NodeRuntime::WireStats wire = runtime_->query_wire_stats(query_id_);
+    result.wire_frames_sent = wire.frames_sent;
+    result.wire_bytes_sent = wire.bytes_sent;
+    result.wire_bytes_received = wire.bytes_received;
+    result.wire_encode_us = wire.encode_us;
+    result.wire_decode_us = wire.decode_us;
+    runtime_->EndQuery(query_id_);
+  }
+
+  /// True when frames to `node` cross the wire (and so carry the real
+  /// stage timestamps); false for the local fallback.
+  bool Wired(NodeId node) const { return node < runtime_->node_count(); }
+
+  /// Wall-clock microseconds on the runtime's stage-timestamp scale.
+  Micros now_us() const { return runtime_->now_us(); }
+
+  Status Dispatch(NodeId node, std::span<const SubQueryRequest> requests,
+                  std::span<const uint32_t> attempts,
+                  std::span<const Micros> extra_latency_us) override {
+    if (!Wired(node)) {
+      return LocalTransport::Dispatch(node, requests, attempts,
+                                      extra_latency_us);
+    }
+    return runtime_->Dispatch(query_id_, node, requests, attempts,
+                              extra_latency_us);
+  }
+
+  /// Local fallback replies are ready at once, so they go first; the
+  /// runtime only ever surfaces this query's replies.
+  std::vector<DecodedReply> AwaitReply() override {
+    return idle() ? runtime_->AwaitReply(query_id_)
+                  : LocalTransport::AwaitReply();
+  }
+
+  Micros clock_us() const override { return runtime_->clock_us(query_id_); }
+  void AdvanceClock(Micros us) override {
+    runtime_->AdvanceClock(query_id_, us);
+  }
+
+ private:
+  std::shared_ptr<NodeRuntime> runtime_;
+  uint64_t query_id_;
+};
+
 }  // namespace
 
 /// The single retry/hedge/deadline/epoch loop. One instance drives one
 /// sub-query; NextAttempt() yields the next viable (target, attempt,
 /// latency charge) or returns false once the attempts are exhausted or
-/// the deadline passed. The clock binding is the only transport-specific
-/// part: direct gathers advance the caller's Micros, message gathers the
-/// runtime's per-query clock.
+/// the deadline passed. Backoff and the deadline both run on the
+/// transport's virtual clock.
 struct InProcessCluster::SubQueryFailover {
   /// One viable attempt: where to read, which attempt number it is, and
   /// the injected latency the transport must charge before the read.
@@ -66,27 +296,12 @@ struct InProcessCluster::SubQueryFailover {
   InProcessCluster* cluster = nullptr;
   const GatherOptions* options = nullptr;
   GatherResult* result = nullptr;
+  LocalTransport* transport = nullptr;  ///< owns the gather's clock
   const std::string* key = nullptr;  ///< the partition under query
   std::vector<NodeId> replicas;      ///< snapshot from `epoch`
   uint64_t epoch = 0;                ///< ring epoch the set was resolved at
   uint32_t next_attempt = 0;
   uint32_t attempts = 0;  ///< attempts actually consumed (incl. faulted)
-
-  // Clock binding: exactly one of the two is set.
-  Micros* vclock = nullptr;        ///< direct/parallel gathers
-  NodeRuntime* runtime = nullptr;  ///< message gathers
-  uint64_t query_id = 0;
-
-  Micros ClockNow() const {
-    return vclock != nullptr ? *vclock : runtime->clock_us(query_id);
-  }
-  void ClockAdvance(Micros us) {
-    if (vclock != nullptr) {
-      *vclock += us;
-    } else {
-      runtime->AdvanceClock(query_id, us);
-    }
-  }
 
   /// Tallies one per-replica error (transport refusal, fault, or a store
   /// error a retry may still fix).
@@ -105,15 +320,16 @@ struct InProcessCluster::SubQueryFailover {
       if (a > 0) {
         // Retries stop once the virtual clock passes the deadline: the
         // gather degrades instead of spinning on a sick cluster.
-        if (options->deadline_us > 0.0 && ClockNow() >= options->deadline_us) {
+        if (options->deadline_us > 0.0 &&
+            transport->clock_us() >= options->deadline_us) {
           break;
         }
         ++result->retries;
         if (cluster->retries_counter_ != nullptr) {
           cluster->retries_counter_->Increment();
         }
-        ClockAdvance(options->backoff_base_us *
-                     static_cast<double>(uint64_t{1} << (a - 1)));
+        transport->AdvanceClock(options->backoff_base_us *
+                                static_cast<double>(uint64_t{1} << (a - 1)));
         // A ring-epoch bump means ownership moved while this sub-query
         // was failing over: re-resolve so the retry chases the data to
         // its new owner instead of re-probing a set that no longer
@@ -139,7 +355,8 @@ struct InProcessCluster::SubQueryFailover {
       if (fault.status.ok() && options->hedge && fanout > 1 &&
           cluster->injector_ != nullptr &&
           fault.extra_latency_us >= options->hedge_threshold_us &&
-          (options->deadline_us <= 0.0 || ClockNow() < options->deadline_us)) {
+          (options->deadline_us <= 0.0 ||
+           transport->clock_us() < options->deadline_us)) {
         const NodeId alt = replicas[(options->replica + a + 1) % fanout];
         const FaultInjector::ReadFault alt_fault =
             cluster->injector_->OnRead(alt, *key, a);
@@ -240,28 +457,8 @@ std::shared_ptr<NodeRuntime> InProcessCluster::EnsureRuntime(
   rt_options.on_admission_full = options.admission_policy;
   runtime_ = std::make_shared<NodeRuntime>(
       node_count(), rt_options,
-      [this](uint32_t node, const std::string& table) -> ItemServer {
-        // One resolution per frame: the store's shared_ptr rides in the
-        // item server, keeping the table alive while the frame's items
-        // run, and a failed lookup refuses each of them the same way.
-        std::shared_ptr<LocalStore> store = NodePtr(node);
-        Result<Table*> found =
-            store != nullptr ? store->FindTable(table)
-                             : Result<Table*>(Status::Unavailable(
-                                   "node " + std::to_string(node) +
-                                   " has no store"));
-        if (!found.ok()) {
-          return [status = found.status()](const SubQueryRequest&,
-                                           ReadProbe*) {
-            return Result<OperatorResult>(status);
-          };
-        }
-        // Operator dispatch: the request names what to run; the worker
-        // has no query-type knowledge of its own.
-        return [store = std::move(store), t = found.value()](
-                   const SubQueryRequest& req, ReadProbe* probe) {
-          return ExecuteOperator(*t, req, probe);
-        };
+      [this](uint32_t node, const std::string& table) {
+        return BindFrame(node, table);
       },
       codec_registry_, injector_, metrics_, spans_,
       [this](uint32_t node, const WriteBatch& batch, NodeRuntime& self) {
@@ -275,120 +472,33 @@ std::shared_ptr<NodeRuntime> InProcessCluster::EnsureRuntime(
   return runtime_;
 }
 
-void InProcessCluster::ExecuteSubQuery(const QueryPlan& plan, size_t index,
-                                       std::vector<NodeId> replicas,
-                                       uint64_t resolved_epoch,
-                                       const GatherOptions& options,
-                                       PlanFold& fold, GatherResult& out,
-                                       Micros& vclock) {
-  const PlanPartition& part = plan.partitions[index];
-  const auto t0 = std::chrono::steady_clock::now();
-  ++out.subqueries;
-  if (subqueries_counter_ != nullptr) subqueries_counter_->Increment();
-
-  SpanTracer::Scope route;
-  if (spans_ != nullptr) route = spans_->StartSpan("route", master_track());
-  if (route.active()) {
-    route.Attr("partition", part.part.key);
-    route.Attr("node",
-               std::to_string(replicas[options.replica % replicas.size()]));
-    route.End();
+ItemServer InProcessCluster::BindFrame(uint32_t node,
+                                       const std::string& table) const {
+  // One resolution per frame: the store's shared_ptr rides in the item
+  // server, keeping the table alive while the frame's items run, and a
+  // failed lookup refuses each of them the same way.
+  std::shared_ptr<LocalStore> store = NodePtr(node);
+  Result<Table*> found =
+      store != nullptr
+          ? store->FindTable(table)
+          : Result<Table*>(Status::Unavailable(
+                "node " + std::to_string(node) + " has no store"));
+  if (!found.ok()) {
+    return [status = found.status()](const SubQueryRequest&, ReadProbe*) {
+      return Result<OperatorResult>(status);
+    };
   }
-
-  SubQueryFailover failover;
-  failover.cluster = this;
-  failover.options = &options;
-  failover.result = &out;
-  failover.key = &part.part.key;
-  failover.replicas = std::move(replicas);
-  failover.epoch = resolved_epoch;
-  failover.vclock = &vclock;
-
-  bool answered = false;  // data folded, or an authoritative miss
-  bool have_data = false;
-  OperatorResult columns;
-  SubQueryFailover::Decision decision;
-  while (!answered && failover.NextAttempt(decision)) {
-    const NodeId target = decision.target;
-    vclock += decision.extra_latency_us;
-
-    SpanTracer::Scope read;
-    if (spans_ != nullptr) {
-      read = spans_->StartSpan("store-read", target);
-      read.Attr("partition", part.part.key);
-      read.Attr("attempt", std::to_string(decision.attempt));
-    }
-    RecordDispatch(target);  // a read actually issued against the store
-    EnsureSlot(out.requests_per_node, target);
-    EnsureSlot(out.probes_per_node, target);
-    ++out.requests_per_node[target];
-    ReadProbe probe;
-    std::shared_ptr<LocalStore> store = NodePtr(target);
-    auto found = store != nullptr
-                     ? store->FindTable(plan.table)
-                     : Result<Table*>(Status::Unavailable(
-                           "node " + std::to_string(target) + " has no store"));
-    Result<OperatorResult> op = Status::NotFound(part.part.key);
-    if (found.ok()) {
-      op = ExecuteOperator(*found.value(), part.part.key, plan.op, plan.arg_lo,
-                           plan.arg_hi, plan.arg_limit, &probe);
-      out.probes_per_node[target].MergeFrom(probe);
-    } else {
-      op = found.status();
-    }
-    if (read.active()) {
-      read.Attr("blocks_decoded", std::to_string(probe.blocks_decoded));
-      read.Attr("blocks_from_cache", std::to_string(probe.blocks_from_cache));
-      read.Attr("bloom_negatives", std::to_string(probe.bloom_negatives));
-      read.End();
-    }
-
-    if (op.ok()) {
-      answered = true;
-      have_data = true;
-      columns = std::move(op).value();
-    } else if (op.status().code() == StatusCode::kNotFound) {
-      // Authoritative miss: every replica stores the same partition set,
-      // so one clean NotFound settles the sub-query.
-      answered = true;
-    } else {
-      // kCorruption and friends are retryable: the next replica holds a
-      // clean copy of the same data.
-      failover.RecordError(target);
-    }
-  }
-
-  if (answered) {
-    ++out.completed;
-    if (have_data) {
-      SpanTracer::Scope fold_span;
-      if (spans_ != nullptr) {
-        fold_span = spans_->StartSpan("fold", master_track());
-        fold_span.Attr("partition", part.part.key);
-      }
-      fold.Accept(index, columns.col_a, columns.col_b, out);
-    } else {
-      ++out.partitions_missing;
-      if (missing_counter_ != nullptr) missing_counter_->Increment();
-    }
-  } else {
-    ++out.failed;
-    if (failed_counter_ != nullptr) failed_counter_->Increment();
-    out.lost_partitions.push_back(part.part.key);
-  }
-
-  const double wall_us = ElapsedMicros(t0);
-  if (subquery_latency_ != nullptr) subquery_latency_->Record(wall_us);
-  if (failover.attempts > 1 && failover_latency_ != nullptr) {
-    failover_latency_->Record(wall_us);
-  }
+  // Operator dispatch: the request names what to run; the server has no
+  // query-type knowledge of its own.
+  return [store = std::move(store), t = found.value()](
+             const SubQueryRequest& req, ReadProbe* probe) {
+    return ExecuteOperator(*t, req, probe);
+  };
 }
 
-GatherResult InProcessCluster::Gather(const QueryPlan& plan,
-                                      const GatherOptions& options) {
-  if (options.transport == GatherTransport::kMessage) {
-    return GatherMessage(plan, options);
-  }
+GatherResult InProcessCluster::RunGather(const QueryPlan& plan,
+                                         const GatherOptions& options,
+                                         uint32_t threads) {
   const auto t0 = std::chrono::steady_clock::now();
   GatherResult result;
   result.requests_per_node.assign(node_count(), 0);
@@ -396,199 +506,90 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
   result.errors_per_node.assign(node_count(), 0);
   PlanFold fold(plan);
 
-  SpanTracer::Scope gather;
-  if (spans_ != nullptr) {
-    gather = spans_->StartSpan("gather", master_track());
-    gather.Attr("table", plan.table);
-    gather.Attr("kind", std::string(QueryKindName(plan.kind)));
-    gather.Attr("partitions", std::to_string(plan.partitions.size()));
-  }
-
-  Micros vclock = 0.0;
-  for (size_t i = 0; i < plan.partitions.size(); ++i) {
-    const uint64_t epoch = ring_epoch();
-    ExecuteSubQuery(plan, i, ReplicasOf(plan.partitions[i].part.key), epoch,
-                    options, fold, result, vclock);
-  }
-  result.virtual_latency_us = vclock;
-  fold.Finish(result);
-  FinalizeGatherAccounting(result);
-  result.wall_us = ElapsedMicros(t0);
+  const size_t total = plan.partitions.size();
+  const bool message = options.transport == GatherTransport::kMessage;
+  const std::string_view transport_name = message ? "message" : "direct";
   // Direct gathers have no wire query_id; mint one only when someone is
   // recording, so the message path's id sequence stays undisturbed.
-  RecordGather(flight_recorder_ != nullptr
-                   ? next_query_id_.fetch_add(1, std::memory_order_relaxed)
-                   : 0,
-               plan.kind, plan.table, "direct", result, {});
-  return result;
-}
-
-GatherResult InProcessCluster::GatherParallel(const QueryPlan& plan,
-                                              uint32_t threads,
-                                              const GatherOptions& options) {
-  KV_CHECK(threads >= 1);
-  if (options.transport == GatherTransport::kMessage) {
-    // On the message path the parallelism lives in the per-node worker
-    // pools, not in master-side threads: scale the pools instead.
-    GatherOptions scaled = options;
-    scaled.workers_per_node = std::max(scaled.workers_per_node, threads);
-    return GatherMessage(plan, scaled);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  // Resolve every replica set up front, snapshotting the epoch *before*
-  // the resolution so a worker's retry can tell whether its set predates
-  // a concurrent membership flip.
-  const uint64_t epoch = ring_epoch();
-  const std::vector<std::vector<NodeId>> replica_sets = ReplicaSetsOf(plan);
-
-  // The fold is shared: workers settle disjoint sub-query indices, so
-  // row buffering never races; count folds land in worker partials.
-  PlanFold fold(plan);
-  std::vector<GatherResult> partials(threads);
-  std::vector<Micros> clocks(threads, 0.0);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const size_t total = plan.partitions.size();
-  SpanTracer::Scope gather;
-  if (spans_ != nullptr) {
-    gather = spans_->StartSpan("gather-parallel", master_track());
-    gather.Attr("table", plan.table);
-    gather.Attr("kind", std::string(QueryKindName(plan.kind)));
-    gather.Attr("partitions", std::to_string(total));
-    gather.Attr("threads", std::to_string(threads));
-    for (uint32_t t = 0; t < threads; ++t) {
-      spans_->SetTrackName(master_track() + 1 + t,
-                           "worker-" + std::to_string(t));
-    }
-  }
-  const uint32_t slots = node_count();
-  for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([this, &plan, &replica_sets, epoch, &partials,
-                          &clocks, &options, &fold, t, threads, total,
-                          slots] {
-      GatherResult& local = partials[t];
-      local.requests_per_node.assign(slots, 0);
-      local.probes_per_node.assign(slots, ReadProbe{});
-      local.errors_per_node.assign(slots, 0);
-      SpanTracer::Scope worker_span;
-      if (spans_ != nullptr) {
-        worker_span = spans_->StartSpan("worker", master_track() + 1 + t);
-      }
-      for (size_t i = t; i < total; i += threads) {
-        ExecuteSubQuery(plan, i, replica_sets[i], epoch, options, fold,
-                        local, clocks[t]);
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-
-  SpanTracer::Scope fold_span;
-  if (spans_ != nullptr) fold_span = spans_->StartSpan("fold", master_track());
-  GatherResult result;
-  result.requests_per_node.assign(node_count(), 0);
-  result.probes_per_node.assign(node_count(), ReadProbe{});
-  result.errors_per_node.assign(node_count(), 0);
-  for (uint32_t t = 0; t < threads; ++t) {
-    const GatherResult& partial = partials[t];
-    result.partitions_missing += partial.partitions_missing;
-    result.subqueries += partial.subqueries;
-    result.completed += partial.completed;
-    result.failed += partial.failed;
-    result.retries += partial.retries;
-    result.hedged += partial.hedged;
-    for (const auto& [type, count] : partial.totals) {
-      result.totals[type] += count;
-    }
-    for (const auto& [type, count] : partial.boundary_totals) {
-      result.boundary_totals[type] += count;
-    }
-    for (size_t n = 0; n < partial.requests_per_node.size(); ++n) {
-      EnsureSlot(result.requests_per_node, n);
-      EnsureSlot(result.probes_per_node, n);
-      EnsureSlot(result.errors_per_node, n);
-      result.requests_per_node[n] += partial.requests_per_node[n];
-      result.probes_per_node[n].MergeFrom(partial.probes_per_node[n]);
-      result.errors_per_node[n] += partial.errors_per_node[n];
-    }
-    result.lost_partitions.insert(result.lost_partitions.end(),
-                                  partial.lost_partitions.begin(),
-                                  partial.lost_partitions.end());
-    // Workers burn backoff in parallel: the gather's virtual latency is
-    // the slowest worker's clock.
-    result.virtual_latency_us = std::max(result.virtual_latency_us, clocks[t]);
-  }
-  fold.Finish(result);
-  FinalizeGatherAccounting(result);
-  result.wall_us = ElapsedMicros(t0);
-  RecordGather(flight_recorder_ != nullptr
-                   ? next_query_id_.fetch_add(1, std::memory_order_relaxed)
-                   : 0,
-               plan.kind, plan.table, "direct", result, {});
-  return result;
-}
-
-GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
-                                             const GatherOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
-  GatherResult result;
-  result.requests_per_node.assign(node_count(), 0);
-  result.probes_per_node.assign(node_count(), ReadProbe{});
-  result.errors_per_node.assign(node_count(), 0);
-  PlanFold fold(plan);
-
-  const size_t total = plan.partitions.size();
   const uint64_t query_id =
-      next_query_id_.fetch_add(1, std::memory_order_relaxed);
-
-  // The shared runtime: built on the first message gather, reused by
-  // every one after it (and by every one running concurrently).
-  std::shared_ptr<NodeRuntime> runtime = EnsureRuntime(options);
+      message || flight_recorder_ != nullptr
+          ? next_query_id_.fetch_add(1, std::memory_order_relaxed)
+          : 0;
 
   // With tracing on, the sampled bit rides in every frame this query
   // sends: workers see it *on the wire* and record their spans
   // flow-linked to the sub-query that caused the work.
-  const bool sampled = spans_ != nullptr && spans_->enabled();
+  const bool sampled = message && spans_ != nullptr && spans_->enabled();
 
-  NodeRuntime::QueryOptions query_options;
-  query_options.codec = options.codec;
-  query_options.deadline_us = options.deadline_us;
-  query_options.trace_flags = sampled ? kTraceSampled : 0;
-  const auto admission_t0 = std::chrono::steady_clock::now();
-  const Status admitted = runtime->BeginQuery(query_id, query_options);
-  result.admission_wait_us = ElapsedMicros(admission_t0);
-  if (!admitted.ok()) {
-    // Shed at admission: nothing was dispatched, every sub-query is
-    // reported lost, and the caller sees a degraded (but accounted-for)
-    // result instead of an exception path.
-    result.shed_by_admission = true;
-    for (const PlanPartition& part : plan.partitions) {
-      ++result.subqueries;
-      if (subqueries_counter_ != nullptr) subqueries_counter_->Increment();
-      ++result.failed;
-      if (failed_counter_ != nullptr) failed_counter_->Increment();
-      result.lost_partitions.push_back(part.part.key);
+  FrameHandler bind = [this](uint32_t node, const std::string& table) {
+    return BindFrame(node, table);
+  };
+  std::unique_ptr<LocalTransport> transport;
+  MessageTransport* wire = nullptr;  // set on the message path only
+  if (message) {
+    // The shared runtime: built on the first message gather, reused by
+    // every one after it (and by every one running concurrently).
+    auto owned = std::make_unique<MessageTransport>(
+        EnsureRuntime(options), query_id, std::move(bind), spans_);
+    wire = owned.get();
+    transport = std::move(owned);
+    NodeRuntime::QueryOptions query_options;
+    query_options.codec = options.codec;
+    query_options.deadline_us = options.deadline_us;
+    query_options.trace_flags = sampled ? kTraceSampled : 0;
+    const auto admission_t0 = std::chrono::steady_clock::now();
+    const Status admitted = wire->Begin(query_options);
+    result.admission_wait_us = ElapsedMicros(admission_t0);
+    if (!admitted.ok()) {
+      // Shed at admission: nothing was dispatched, every sub-query is
+      // reported lost, and the caller sees a degraded (but accounted-for)
+      // result instead of an exception path.
+      result.shed_by_admission = true;
+      for (const PlanPartition& part : plan.partitions) {
+        ++result.subqueries;
+        if (subqueries_counter_ != nullptr) subqueries_counter_->Increment();
+        ++result.failed;
+        if (failed_counter_ != nullptr) failed_counter_->Increment();
+        result.lost_partitions.push_back(part.part.key);
+      }
+      fold.Finish(result);
+      FinalizeGatherAccounting(result);
+      result.wall_us = ElapsedMicros(t0);
+      RecordGather(query_id, plan.kind, plan.table, transport_name, result,
+                   {});
+      return result;
     }
-    fold.Finish(result);
-    FinalizeGatherAccounting(result);
-    result.wall_us = ElapsedMicros(t0);
-    RecordGather(query_id, plan.kind, plan.table, "message", result, {});
-    return result;
+  } else {
+    transport = std::make_unique<LocalTransport>(std::move(bind), spans_,
+                                                 threads, master_track() + 1);
   }
 
   SpanTracer::Scope gather;
   if (spans_ != nullptr) {
-    gather = spans_->StartSpan("gather-message", master_track());
+    gather = spans_->StartSpan(message       ? "gather-message"
+                               : threads > 1 ? "gather-parallel"
+                                             : "gather",
+                               master_track());
     gather.Attr("table", plan.table);
     gather.Attr("kind", std::string(QueryKindName(plan.kind)));
     gather.Attr("partitions", std::to_string(total));
-    gather.Attr("codec", WireCodecName(options.codec));
-    gather.Attr("batch", options.batch ? "true" : "false");
-    gather.Attr("query", std::to_string(query_id));
+    if (message) {
+      gather.Attr("codec", WireCodecName(options.codec));
+      gather.Attr("batch", options.batch ? "true" : "false");
+      gather.Attr("query", std::to_string(query_id));
+    } else if (threads > 1) {
+      gather.Attr("threads", std::to_string(threads));
+      for (uint32_t t = 0; t < threads; ++t) {
+        spans_->SetTrackName(master_track() + 1 + t,
+                             "worker-" + std::to_string(t));
+      }
+    }
   }
 
   struct Pending {
     SubQueryFailover failover;
-    bool started = false;  ///< t0 stamped (first dispatch processing)
+    /// When the master first processed this sub-query: a late-scattered
+    /// one is not charged its predecessors' dispatch work.
     std::chrono::steady_clock::time_point t0;
   };
   std::vector<Pending> subs(total);
@@ -601,16 +602,16 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
     failover.cluster = this;
     failover.options = &options;
     failover.result = &result;
+    failover.transport = transport.get();
     failover.key = &plan.partitions[i].part.key;
     failover.epoch = epoch;
     failover.replicas = std::move(replica_sets[i]);
-    failover.runtime = runtime.get();
-    failover.query_id = query_id;
   }
 
-  // The flight recorder's per-sub-query stage stamps (last attempt wins).
+  // The flight recorder's per-sub-query stage stamps (last attempt wins);
+  // only the wire has stages to stamp.
   std::vector<SubQueryTimelineEntry> timeline;
-  if (flight_recorder_ != nullptr) {
+  if (flight_recorder_ != nullptr && message) {
     timeline.resize(total);
     for (size_t i = 0; i < total; ++i) {
       timeline[i].sub_id = static_cast<uint32_t>(i);
@@ -625,7 +626,7 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
       SubQueryTimelineEntry& entry = timeline[i];
       entry.attempts = s.failover.attempts;
       entry.completed = answered;
-      entry.completed_us = runtime->now_us();
+      entry.completed_us = wire->now_us();
     }
     if (answered) {
       ++result.completed;
@@ -652,74 +653,24 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
     }
   };
 
-  // One batch slot per node, filled only during a batched scatter.
-  struct BatchItem {
-    SubQueryRequest request;
-    uint32_t attempt = 0;
-    Micros extra_latency_us = 0.0;
-    size_t index = 0;
+  // One frame per node, filled only during a batched scatter.
+  struct NodeBatch {
+    std::vector<SubQueryRequest> requests;
+    std::vector<uint32_t> attempts;
+    std::vector<Micros> extras;
   };
-  std::vector<std::vector<BatchItem>> per_node;
+  std::vector<NodeBatch> per_node;
 
   // Advances sub-query `i` to its next viable attempt via the shared
   // failover loop, then either hands the attempt to the transport (or to
   // `collect` during a batched scatter) and returns true, or exhausts
   // the attempts, records the loss, and returns false.
-  auto try_dispatch = [&](size_t i,
-                          std::vector<std::vector<BatchItem>>* collect) {
+  auto try_dispatch = [&](size_t i, std::vector<NodeBatch>* collect) {
     Pending& s = subs[i];
-    if (!s.started) {
-      // The latency clock starts when the master first *processes* this
-      // sub-query, not when the scatter loop began: a late-scattered
-      // sub-query must not be charged its predecessors' dispatch work.
-      s.started = true;
-      s.t0 = std::chrono::steady_clock::now();
-    }
     SubQueryFailover::Decision decision;
     while (s.failover.NextAttempt(decision)) {
       const uint32_t a = decision.attempt;
       const NodeId target = decision.target;
-
-      if (target >= runtime->node_count()) {
-        // A join raced this gather: the shared runtime predates the new
-        // node, so the stale pool has no queue for it — yet the store is
-        // live and may hold the only reachable copy while the migration
-        // window is open. Read it directly (a fresh connection outside
-        // the stale pool) instead of burning every attempt on
-        // kUnavailable.
-        runtime->AdvanceClock(query_id, decision.extra_latency_us);
-        RecordDispatch(target);
-        EnsureSlot(result.requests_per_node, target);
-        EnsureSlot(result.probes_per_node, target);
-        ++result.requests_per_node[target];
-        ReadProbe probe;
-        std::shared_ptr<LocalStore> store = NodePtr(target);
-        auto found = store != nullptr
-                         ? store->FindTable(plan.table)
-                         : Result<Table*>(Status::Unavailable(
-                               "node " + std::to_string(target) +
-                               " has no store"));
-        Result<OperatorResult> op = Status::NotFound(*s.failover.key);
-        if (found.ok()) {
-          op = ExecuteOperator(*found.value(), *s.failover.key, plan.op,
-                               plan.arg_lo, plan.arg_hi, plan.arg_limit,
-                               &probe);
-          result.probes_per_node[target].MergeFrom(probe);
-        } else {
-          op = found.status();
-        }
-        if (op.ok()) {
-          resolve(i, /*answered=*/true, &op.value());
-          return false;  // settled here, nothing left in flight
-        }
-        if (op.status().code() == StatusCode::kNotFound) {
-          resolve(i, /*answered=*/true, nullptr);  // authoritative miss
-          return false;
-        }
-        s.failover.RecordError(target);
-        continue;  // retryable: fail over like any transport error
-      }
-
       SubQueryRequest req;
       req.query_id = query_id;
       req.sub_id = static_cast<uint32_t>(i);
@@ -731,8 +682,11 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
       req.arg_hi = plan.arg_hi;
       req.arg_limit = plan.arg_limit;
       if (collect != nullptr) {
-        (*collect)[target].push_back(
-            {std::move(req), a, decision.extra_latency_us, i});
+        EnsureSlot(*collect, target);
+        NodeBatch& frame = (*collect)[target];
+        frame.requests.push_back(std::move(req));
+        frame.attempts.push_back(a);
+        frame.extras.push_back(decision.extra_latency_us);
         return true;
       }
       // The flow's origin: the dispatch span covers encode + enqueue (any
@@ -747,8 +701,8 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
         dispatch.Flow(TraceFlowId(query_id, static_cast<uint32_t>(i), a),
                       FlowPhase::kStart);
       }
-      const Status sent = runtime->Dispatch(
-          query_id, target, std::span<const SubQueryRequest>(&req, 1),
+      const Status sent = transport->Dispatch(
+          target, std::span<const SubQueryRequest>(&req, 1),
           std::span<const uint32_t>(&a, 1),
           std::span<const Micros>(&decision.extra_latency_us, 1));
       if (dispatch.active() && !sent.ok()) dispatch.Attr("refused", "true");
@@ -767,12 +721,14 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
   };
 
   // Scatter: every sub-query's first viable attempt, coalesced per node
-  // when batching is on.
+  // when the message path batches.
+  const bool batch = message && options.batch;
   size_t outstanding = 0;
-  if (options.batch) per_node.resize(node_count());
+  if (batch) per_node.resize(node_count());
   for (size_t i = 0; i < total; ++i) {
     ++result.subqueries;
     if (subqueries_counter_ != nullptr) subqueries_counter_->Increment();
+    subs[i].t0 = std::chrono::steady_clock::now();
     SpanTracer::Scope route;
     if (spans_ != nullptr) route = spans_->StartSpan("route", master_track());
     if (route.active()) {
@@ -782,75 +738,57 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
                  std::to_string(replicas[options.replica % replicas.size()]));
       route.End();
     }
-    if (try_dispatch(i, options.batch ? &per_node : nullptr) &&
-        !options.batch) {
+    if (try_dispatch(i, batch ? &per_node : nullptr) && !batch) {
       ++outstanding;
     }
   }
-  if (options.batch) {
-    for (uint32_t n = 0; n < node_count(); ++n) {
-      std::vector<BatchItem>& items = per_node[n];
-      if (items.empty()) continue;
-      std::vector<SubQueryRequest> requests;
-      std::vector<uint32_t> attempts;
-      std::vector<Micros> extras;
-      requests.reserve(items.size());
-      attempts.reserve(items.size());
-      extras.reserve(items.size());
-      for (BatchItem& item : items) {
-        requests.push_back(std::move(item.request));
-        attempts.push_back(item.attempt);
-        extras.push_back(item.extra_latency_us);
+  for (uint32_t n = 0; n < per_node.size(); ++n) {
+    const auto& [requests, attempts, extras] = per_node[n];
+    if (requests.empty()) continue;
+    // One dispatch span per coalesced sub-query: each starts its own
+    // flow even though they all travelled in a single frame.
+    std::vector<SpanTracer::Scope> dispatch_spans;
+    if (sampled) {
+      dispatch_spans.reserve(requests.size());
+      for (size_t k = 0; k < requests.size(); ++k) {
+        SpanTracer::Scope span = spans_->StartSpan("dispatch", master_track());
+        span.Attr("partition", requests[k].partition_key);
+        span.Attr("node", std::to_string(n));
+        span.Attr("attempt", std::to_string(attempts[k]));
+        span.Attr("batched", "true");
+        span.Flow(TraceFlowId(query_id, requests[k].sub_id, attempts[k]),
+                  FlowPhase::kStart);
+        dispatch_spans.push_back(std::move(span));
       }
-      // One dispatch span per coalesced sub-query: each starts its own
-      // flow even though they all travelled in a single frame.
-      std::vector<SpanTracer::Scope> dispatch_spans;
-      if (sampled) {
-        dispatch_spans.reserve(requests.size());
-        for (size_t k = 0; k < requests.size(); ++k) {
-          SpanTracer::Scope span = spans_->StartSpan("dispatch",
-                                                     master_track());
-          span.Attr("partition", requests[k].partition_key);
-          span.Attr("node", std::to_string(n));
-          span.Attr("attempt", std::to_string(attempts[k]));
-          span.Attr("batched", "true");
-          span.Flow(TraceFlowId(query_id, requests[k].sub_id, attempts[k]),
-                    FlowPhase::kStart);
-          dispatch_spans.push_back(std::move(span));
-        }
-      }
-      const Status sent =
-          runtime->Dispatch(query_id, n, requests, attempts, extras);
-      for (SpanTracer::Scope& span : dispatch_spans) {
-        if (!sent.ok()) span.Attr("refused", "true");
-        span.End();
-      }
-      if (sent.ok()) {
-        RecordDispatch(n, items.size());
-        outstanding += items.size();
-        continue;
-      }
-      // The whole frame was refused (kReject): every sub-query in it
-      // fails over individually, unbatched.
-      for (const BatchItem& item : items) {
-        ++result.errors_per_node[n];
-        if (errors_counter_ != nullptr) errors_counter_->Increment();
-        if (try_dispatch(item.index, nullptr)) ++outstanding;
-      }
+    }
+    const Status sent = transport->Dispatch(n, requests, attempts, extras);
+    for (SpanTracer::Scope& span : dispatch_spans) {
+      if (!sent.ok()) span.Attr("refused", "true");
+      span.End();
+    }
+    if (sent.ok()) {
+      RecordDispatch(n, requests.size());
+      outstanding += requests.size();
+      continue;
+    }
+    // The whole frame was refused (kReject): every sub-query in it
+    // fails over individually, unbatched.
+    for (const SubQueryRequest& request : requests) {
+      subs[request.sub_id].failover.RecordError(n);
+      if (try_dispatch(request.sub_id, nullptr)) ++outstanding;
     }
   }
 
-  // Collect: decode reply frames as they land, folding answers and
-  // failing unanswered sub-queries over until every one is settled. A
-  // frame carries one reply per item of the request frame it answers.
-  // AwaitReply only ever surfaces this query's replies — concurrent
-  // gathers drain their own channels.
+  // Collect: take reply frames as they land, folding answers and failing
+  // unanswered sub-queries over until every one is settled. A frame
+  // carries one reply per item of the request frame it answers, and
+  // only ever this gather's replies — concurrent gathers drain their
+  // own channels.
   while (outstanding > 0) {
-    std::vector<NodeRuntime::DecodedReply> frame =
-        runtime->AwaitReply(query_id);
+    std::vector<DecodedReply> frame = transport->AwaitReply();
     KV_CHECK(frame.size() <= outstanding);
     outstanding -= frame.size();
-    for (NodeRuntime::DecodedReply& r : frame) {
+    for (DecodedReply& r : frame) {
       const size_t i = r.sub_id;
       KV_CHECK(i < total);
       // The flow's terminus: the reply span covers this reply's fold (or
@@ -866,49 +804,54 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
                         FlowPhase::kFinish);
       }
       if (r.store_read) {
-        if (!timeline.empty()) {
-          SubQueryTimelineEntry& entry = timeline[i];
-          entry.node = r.node;
-          entry.issued_us = r.issued_us;
-          entry.received_us = r.received_us;
-          entry.db_start_us = r.db_start_us;
-          entry.db_end_us = r.db_end_us;
+        if (wire != nullptr && wire->Wired(r.node)) {
+          if (!timeline.empty()) {
+            SubQueryTimelineEntry& entry = timeline[i];
+            entry.node = r.node;
+            entry.issued_us = r.issued_us;
+            entry.received_us = r.received_us;
+            entry.db_start_us = r.db_start_us;
+            entry.db_end_us = r.db_end_us;
+          }
+          if (stage_tracer_ != nullptr) {
+            RequestTrace trace;
+            trace.query_id = query_id;
+            trace.sub_id = r.sub_id;
+            trace.node = r.node;
+            trace.keysize =
+                static_cast<double>(plan.partitions[i].part.elements);
+            trace.issued = r.issued_us;
+            trace.received = r.received_us;
+            trace.db_start = r.db_start_us;
+            trace.db_end = r.db_end_us;
+            trace.completed = wire->now_us();
+            stage_tracer_->Record(trace);
+          }
         }
         EnsureSlot(result.requests_per_node, r.node);
         EnsureSlot(result.probes_per_node, r.node);
         ++result.requests_per_node[r.node];
         result.probes_per_node[r.node].MergeFrom(r.probe);
-        if (stage_tracer_ != nullptr) {
-          RequestTrace trace;
-          trace.query_id = query_id;
-          trace.sub_id = r.sub_id;
-          trace.node = r.node;
-          trace.keysize =
-              static_cast<double>(plan.partitions[i].part.elements);
-          trace.issued = r.issued_us;
-          trace.received = r.received_us;
-          trace.db_start = r.db_start_us;
-          trace.db_end = r.db_end_us;
-          trace.completed = runtime->now_us();
-          stage_tracer_->Record(trace);
-        }
       }
       StatusCode code = StatusCode::kCorruption;  // unreadable reply frame
       if (r.reply.ok()) code = static_cast<StatusCode>(r.reply.value().status);
       if (code == StatusCode::kOk) {
         // The reply's paired u64 vectors are the operator's result
-        // columns; hand them to the fold exactly as the direct path would.
+        // columns; the fold reads them the same way on every transport.
         OperatorResult columns;
         columns.col_a = std::move(r.reply.value().type_ids);
         columns.col_b = std::move(r.reply.value().counts);
         resolve(i, /*answered=*/true, &columns);
       } else if (code == StatusCode::kNotFound) {
-        // Authoritative miss, exactly as on the direct path.
+        // Authoritative miss: every replica stores the same partition
+        // set, so one clean NotFound settles the sub-query.
         resolve(i, /*answered=*/true, nullptr);
       } else {
-        // A shed (kResourceExhausted) is the deadline's doing, not the
-        // node's: it retries without an error tally, and the deadline
-        // check inside the failover loop settles its fate.
+        // kCorruption and friends are retryable: the next replica holds a
+        // clean copy of the same data. A shed (kResourceExhausted) is the
+        // deadline's doing, not the node's: it retries without an error
+        // tally, and the deadline check inside the failover loop settles
+        // its fate.
         if (code != StatusCode::kResourceExhausted) {
           subs[i].failover.RecordError(r.node);
         }
@@ -917,22 +860,33 @@ GatherResult InProcessCluster::GatherMessage(const QueryPlan& plan,
     }
   }
 
-  // Read the query's private accounting before releasing its slot.
-  result.virtual_latency_us = runtime->clock_us(query_id);
-  result.queue_wait_us = runtime->query_queue_wait_us(query_id);
-  const NodeRuntime::WireStats wire = runtime->query_wire_stats(query_id);
-  result.wire_frames_sent = wire.frames_sent;
-  result.wire_bytes_sent = wire.bytes_sent;
-  result.wire_bytes_received = wire.bytes_received;
-  result.wire_encode_us = wire.encode_us;
-  result.wire_decode_us = wire.decode_us;
-  runtime->EndQuery(query_id);
+  result.virtual_latency_us = transport->clock_us();
+  if (wire != nullptr) wire->End(result);
   fold.Finish(result);
   FinalizeGatherAccounting(result);
   result.wall_us = ElapsedMicros(t0);
-  RecordGather(query_id, plan.kind, plan.table, "message", result,
+  RecordGather(query_id, plan.kind, plan.table, transport_name, result,
                std::move(timeline));
   return result;
+}
+
+GatherResult InProcessCluster::Gather(const QueryPlan& plan,
+                                      const GatherOptions& options) {
+  return RunGather(plan, options, 1);
+}
+
+GatherResult InProcessCluster::GatherParallel(const QueryPlan& plan,
+                                              uint32_t threads,
+                                              const GatherOptions& options) {
+  KV_CHECK(threads >= 1);
+  if (options.transport == GatherTransport::kMessage) {
+    // On the message path the parallelism lives in the per-node worker
+    // pools, not in master-side threads: scale the pools instead.
+    GatherOptions scaled = options;
+    scaled.workers_per_node = std::max(scaled.workers_per_node, threads);
+    return RunGather(plan, scaled, 1);
+  }
+  return RunGather(plan, options, threads);
 }
 
 ConcurrentGatherReport InProcessCluster::GatherConcurrent(
@@ -960,7 +914,7 @@ ConcurrentGatherReport InProcessCluster::GatherConcurrent(
                                  queries_per_client, c] {
       for (uint32_t q = 0; q < queries_per_client; ++q) {
         report.results[static_cast<size_t>(c) * queries_per_client + q] =
-            GatherMessage(plan, opts);
+            Gather(plan, opts);
       }
     });
   }

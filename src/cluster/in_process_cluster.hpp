@@ -18,14 +18,20 @@
 // Section VII story ("the driver selects a replica only if the original
 // node is malfunctioning") with real bytes instead of virtual time.
 //
-// The message transport runs through a single long-lived NodeRuntime the
-// cluster owns: queues and worker pools are built lazily on the first
-// message-path gather and reused by every one after it — including
-// *concurrent* gathers, each a registered query with its own reply
-// channel, virtual clock, and wire accounting, bounded by the runtime's
-// admission controller. CountByTypeAllConcurrent drives that path with N
-// client threads, which is how the Fig. 11 master-saturation curve is
-// measured on real bytes (bench/master_throughput.cpp).
+// Gather, GatherParallel and GatherConcurrent all run one scatter/collect
+// loop (gather_engine.cpp): first attempts go out, then replies are
+// settled and failed over as they come back, on one virtual clock per
+// gather. The loop reaches the stores through one of two transports.
+// The local one calls each node's store in process, on the caller's
+// thread or over GatherParallel's threads. The message one runs through
+// a single long-lived NodeRuntime the cluster owns: queues and worker
+// pools are built lazily on the first message-path gather and reused by
+// every one after it — including *concurrent* gathers, each a registered
+// query with its own reply channel, virtual clock, and wire accounting,
+// bounded by the runtime's admission controller. CountByTypeAllConcurrent
+// drives that path with N client threads, which is how the Fig. 11
+// master-saturation curve is measured on real bytes
+// (bench/master_throughput.cpp).
 #pragma once
 
 #include <atomic>
@@ -60,7 +66,7 @@ class MetricsTimeSeries;  // telemetry/timeseries.hpp
 
 /// How the master reaches the slaves' stores.
 enum class GatherTransport : uint8_t {
-  /// Plain function calls into each node's store (the original path).
+  /// Plain in-process calls into each node's store (the local transport).
   kDirect = 0,
   /// Real encoded messages through per-node queues and worker pools
   /// (node_runtime.hpp): sub-queries are serialized with the selected
@@ -273,7 +279,8 @@ class InProcessCluster {
   // they notice an epoch bump between retries, so a sub-query that raced
   // a move retries against the new owner — and Put / PutBatch do the
   // same on the write side, re-dispatching to the new owners through
-  // bounded epoch-retry rounds (PutOptions::max_epoch_retries).
+  // bounded epoch-retry rounds (PutOptions::max_epoch_retries); a write
+  // round that ends while a change is in flight first waits for its flip.
   // Membership changes serialize against each other and must not race
   // FlushAll / ReviveNode; concurrent *gathers* and *puts* (any
   // transport) are the supported workloads.
@@ -418,13 +425,16 @@ class InProcessCluster {
   /// or the message path.
   GatherResult Gather(const QueryPlan& plan, const GatherOptions& options = {});
 
-  /// Same result computed by `threads` worker threads, one slice of the
-  /// partition list each (real std::thread parallelism over the real
-  /// storage engine — reads take shared locks, the block cache is
-  /// internally synchronised). The fold is deterministic: partial results
-  /// are merged in worker order, fault decisions are stateless, and
-  /// row merges are order-independent by construction, so a parallel
-  /// chaos gather matches the serial one bit for bit.
+  /// Same result with the store reads spread over `threads` threads:
+  /// each round of sent sub-queries (first attempts, then each wave of
+  /// retries) is served over the threads — real std::thread parallelism
+  /// over the real storage engine; reads take shared locks, the block
+  /// cache is internally synchronised — and the master settles the
+  /// replies in send order. Fault decisions are stateless and the fold,
+  /// the accounting and the virtual clock are the serial gather's, so a
+  /// parallel chaos gather matches the serial one bit for bit, virtual
+  /// latency included. On the message transport the threads scale the
+  /// per-node worker pools instead.
   GatherResult GatherParallel(const QueryPlan& plan, uint32_t threads,
                               const GatherOptions& options = {});
 
@@ -487,16 +497,21 @@ class InProcessCluster {
   /// epoch bump forces re-resolution.
   struct SubQueryFailover;
 
-  /// Executes sub-query `index` of `plan` with failover on the direct
-  /// transport, folding into `fold`/`out` (worker-local partials in
-  /// parallel mode). `vclock` is the caller's virtual clock. `replicas`
-  /// is the set resolved at `resolved_epoch`; a retry that observes a
-  /// newer ring epoch re-resolves before failing over, so a sub-query
-  /// racing a migration finds the partition's new owner. Thread-safe.
-  void ExecuteSubQuery(const QueryPlan& plan, size_t index,
-                       std::vector<NodeId> replicas, uint64_t resolved_epoch,
-                       const GatherOptions& options, PlanFold& fold,
-                       GatherResult& out, Micros& vclock);
+  /// The one gather loop behind Gather, GatherParallel and
+  /// GatherConcurrent: routes every sub-query of `plan`, scatters first
+  /// attempts (per node when the message path batches), then collects
+  /// reply frames and fails unanswered sub-queries over until each is
+  /// settled. `options.transport` picks the transport; `threads` > 1
+  /// fans the local transport's rounds out over that many threads.
+  /// Thread-safe.
+  GatherResult RunGather(const QueryPlan& plan, const GatherOptions& options,
+                         uint32_t threads);
+
+  /// The one store binding: resolves `node`'s store and `table` once and
+  /// returns the server a request frame's items run through (a failed
+  /// lookup refuses each item the same way). Serves both the runtime's
+  /// workers and the local transport.
+  ItemServer BindFrame(uint32_t node, const std::string& table) const;
 
   /// The store in slot `id`, or null when no such slot exists. Slots are
   /// append-only; holding the returned pointer keeps the store alive
@@ -532,16 +547,6 @@ class InProcessCluster {
   /// the epoch, and folds everything into `report`. The directory is
   /// untouched when streaming fails.
   Status ExecutePlan(RingPlan plan, MembershipReport& report);
-
-  /// The message-transport gather: scatter encoded frames through the
-  /// shared NodeRuntime under a fresh query_id, collect and decode
-  /// replies, fail over on errors. Runs the same SubQueryFailover loop
-  /// as ExecuteSubQuery, so with no deadline a healthy or chaotic run
-  /// matches the direct transport field for field — and, with per-query
-  /// clocks and reply channels, matches it even while other gathers run
-  /// interleaved. Thread-safe.
-  GatherResult GatherMessage(const QueryPlan& plan,
-                             const GatherOptions& options);
 
   /// Returns the shared runtime, building it on first use and rebuilding
   /// only when `options` changes a structural knob (queue depth, worker
@@ -627,6 +632,8 @@ class InProcessCluster {
   // -- Elastic membership state -------------------------------------------
   /// Serializes membership operations end to end (including streaming);
   /// acquired before route_mu_ / nodes_mu_, never while holding them.
+  /// PutBatch takes it, holding nothing else, to wait out a change in
+  /// flight before a write round's epoch check.
   Mutex membership_mu_;
   bool elastic_ KV_GUARDED_BY(route_mu_) = false;
   TokenRing ring_ KV_GUARDED_BY(route_mu_);

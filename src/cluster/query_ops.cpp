@@ -20,11 +20,10 @@ OperatorResult RowColumns(const std::vector<CellHeader>& rows) {
 }  // namespace
 
 Result<OperatorResult> ExecuteOperator(const Table& table,
-                                       std::string_view partition_key,
-                                       uint32_t op, uint64_t arg_lo,
-                                       uint64_t arg_hi, uint32_t arg_limit,
+                                       const SubQueryRequest& request,
                                        ReadProbe* probe) {
-  switch (op) {
+  const std::string_view partition_key = request.partition_key;
+  switch (request.op) {
     case kOpCountByType: {
       // Ascending (type, count) pairs straight into the reply columns —
       // the order the count fold has always seen on the wire.
@@ -34,28 +33,21 @@ Result<OperatorResult> ExecuteOperator(const Table& table,
       return out;
     }
     case kOpRangeScan: {
-      auto rows =
-          table.ScanRange(partition_key, arg_lo, arg_hi, arg_limit, probe);
+      auto rows = table.ScanRange(partition_key, request.arg_lo,
+                                  request.arg_hi, request.arg_limit, probe);
       if (!rows.ok()) return rows.status();
       return RowColumns(rows.value());
     }
     case kOpTopK: {
-      auto rows = table.TopKByClustering(partition_key, arg_limit, probe);
+      auto rows =
+          table.TopKByClustering(partition_key, request.arg_limit, probe);
       if (!rows.ok()) return rows.status();
       return RowColumns(rows.value());
     }
     default:
       return Status::InvalidArgument("unknown query operator " +
-                                     std::to_string(op));
+                                     std::to_string(request.op));
   }
-}
-
-Result<OperatorResult> ExecuteOperator(const Table& table,
-                                       const SubQueryRequest& request,
-                                       ReadProbe* probe) {
-  return ExecuteOperator(table, request.partition_key, request.op,
-                         request.arg_lo, request.arg_hi, request.arg_limit,
-                         probe);
 }
 
 }  // namespace kvscale

@@ -26,16 +26,9 @@ struct OperatorResult {
   std::vector<uint64_t> col_b;
 };
 
-/// Runs one operator against one partition of `table`. An unknown op —
-/// already rejected on the wire by DecodeSubQueryBatch — fails with
-/// kInvalidArgument (retryable like any per-replica error).
-Result<OperatorResult> ExecuteOperator(const Table& table,
-                                       std::string_view partition_key,
-                                       uint32_t op, uint64_t arg_lo,
-                                       uint64_t arg_hi, uint32_t arg_limit,
-                                       ReadProbe* probe);
-
-/// Request-framed convenience: the NodeRuntime worker handler's body.
+/// Runs the operator `request` names against its partition of `table`.
+/// An unknown op — already rejected on the wire by DecodeSubQueryBatch —
+/// fails with kInvalidArgument (retryable like any per-replica error).
 Result<OperatorResult> ExecuteOperator(const Table& table,
                                        const SubQueryRequest& request,
                                        ReadProbe* probe);

@@ -74,8 +74,8 @@ QueryPlan MakeTopKPlan(const WorkloadSpec& workload, const TopKSpec& spec) {
 
 PlanFold::PlanFold(const QueryPlan& plan) : plan_(&plan) {
   if (plan.kind == QueryKind::kScan || plan.kind == QueryKind::kTopK) {
-    // One pre-sized slot per sub-query: parallel workers settle disjoint
-    // indices, so buffering needs no lock.
+    // One pre-sized slot per sub-query, filled as each one settles, in
+    // whatever order the replies arrive.
     rows_.resize(plan.partitions.size());
   }
 }

@@ -157,7 +157,8 @@ struct GatherResult {
   std::vector<uint64_t> errors_per_node;     ///< error tally per node
   std::vector<std::string> lost_partitions;  ///< keys lost for good, sorted
   /// Injected latency + backoff consumed, in virtual microseconds (the
-  /// deadline's clock). For parallel gathers: the slowest worker's clock.
+  /// deadline's clock) — one clock per gather, whatever the transport or
+  /// thread count.
   Micros virtual_latency_us = 0.0;
   /// Real wall-clock duration of this gather, admission wait included.
   Micros wall_us = 0.0;
@@ -178,10 +179,8 @@ struct GatherResult {
 
 /// The master-side fold of one plan: Accept() folds one sub-query's reply
 /// columns as it settles, Finish() produces the order-independent final
-/// result. One instance serves one gather; parallel workers may call
-/// Accept concurrently for *distinct* sub-query indices (the row slots
-/// are pre-sized and disjoint; count folds write the worker's own
-/// partial result).
+/// result. One instance serves one gather, whose loop calls Accept from
+/// the master thread once per settled sub-query.
 class PlanFold {
  public:
   /// `plan` must outlive the fold.

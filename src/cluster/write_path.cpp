@@ -481,6 +481,12 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
       run_direct_round(chunks);
     }
     due.clear();
+    // A membership change in flight holds membership_mu_ from before its
+    // directory snapshot until after its flip, and may have planned (or
+    // streamed) this round's keys before their writes landed on the old
+    // owners. Wait for it to finish, so the epoch check below sees the
+    // flip and the next round writes the copies the new owners lack.
+    { MutexLock wait(membership_mu_); }
     const uint64_t epoch_now = ring_epoch();
     if (epoch_now == resolved_epoch || round >= options.max_epoch_retries) {
       break;

@@ -84,6 +84,16 @@ void ExpectSameResult(const GatherResult& a, const GatherResult& b,
   EXPECT_EQ(a.partitions_pruned, b.partitions_pruned) << label;
 }
 
+/// The failover accounting two runs under the same faults must share.
+void ExpectSameAccounting(const GatherResult& a, const GatherResult& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.retries, b.retries) << label;
+  EXPECT_EQ(a.hedged, b.hedged) << label;
+  EXPECT_EQ(a.errors_per_node, b.errors_per_node) << label;
+  EXPECT_EQ(a.requests_per_node, b.requests_per_node) << label;
+  EXPECT_DOUBLE_EQ(a.virtual_latency_us, b.virtual_latency_us) << label;
+}
+
 // ---------------------------------------------------------------------------
 // Plan construction
 
@@ -232,15 +242,24 @@ TEST(QueryPlanTest, ScanAndTopKAreTransportAndCodecInvariantUnderChaos) {
     GatherTransport transport;
     WireCodecKind codec;
     bool batch;
+    uint32_t threads;  ///< 0 = Gather, else GatherParallel
   };
   const TransportCase cases[] = {
-      {"direct", GatherTransport::kDirect, WireCodecKind::kCompact, false},
+      {"direct", GatherTransport::kDirect, WireCodecKind::kCompact, false, 0},
       {"message-compact", GatherTransport::kMessage, WireCodecKind::kCompact,
-       false},
+       false, 0},
       {"message-tagged", GatherTransport::kMessage, WireCodecKind::kTagged,
-       false},
+       false, 0},
       {"message-batched", GatherTransport::kMessage, WireCodecKind::kCompact,
-       true},
+       true, 0},
+      {"direct-parallel-2", GatherTransport::kDirect, WireCodecKind::kCompact,
+       false, 2},
+      {"direct-parallel-4", GatherTransport::kDirect, WireCodecKind::kCompact,
+       false, 4},
+      {"direct-parallel-7", GatherTransport::kDirect, WireCodecKind::kCompact,
+       false, 7},
+      {"message-batched-parallel-4", GatherTransport::kMessage,
+       WireCodecKind::kCompact, true, 4},
   };
   for (const bool topk : {false, true}) {
     GatherResult baseline;
@@ -260,14 +279,19 @@ TEST(QueryPlanTest, ScanAndTopKAreTransportAndCodecInvariantUnderChaos) {
       const QueryPlan plan =
           topk ? MakeTopKPlan(workload, TopKSpec{9})
                : MakeScanPlan(workload, ScanSpec{1, 3, 40});
-      const GatherResult result = cluster.Gather(plan, options);
+      const GatherResult result =
+          tc.threads == 0 ? cluster.Gather(plan, options)
+                          : cluster.GatherParallel(plan, tc.threads, options);
       EXPECT_FALSE(result.partial) << tc.label;  // replica 2 covered it
       if (tc.label == "direct") {
         baseline = result;
         EXPECT_FALSE(baseline.rows.empty());
+        EXPECT_GT(baseline.retries, 0u);  // the chaos actually bit
       } else {
         ExpectSameResult(baseline, result,
                          (topk ? "topk " : "scan ") + tc.label);
+        ExpectSameAccounting(baseline, result,
+                             (topk ? "topk " : "scan ") + tc.label);
       }
     }
   }

@@ -21,6 +21,13 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|StoreReadPath|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath'
 
+# Puts racing a join, repeated: a write round that ends while the join
+# is in flight must wait for its flip and re-resolve, or a partition
+# goes missing. Under TSan the race window is wide and the waits shift.
+./build-tsan/tests/write_path_test \
+  --gtest_filter=WritePathTest.PutsLandDuringAMembershipChange \
+  --gtest_repeat=200
+
 # One sanitized end-to-end run over the wire: batched compact frames,
 # multiple workers per node, chaos on top.
 ./build-tsan/tools/kvscale gather --nodes 4 --keys 60 --elements 6000 \
