@@ -8,14 +8,12 @@
 // on the gather's virtual clock, when a hedge races a second copy, and
 // when a ring-epoch bump forces the replica set to be re-resolved —
 // sends it per node or per item, awaits one reply frame at a time, and
-// settles or fails over every item the frame answers. The loop drives two
-// transports through the same two calls, Dispatch and AwaitReply:
-//   - LocalTransport serves request frames against the nodes' stores in
-//     process, on the caller's thread or over GatherParallel's threads;
-//   - MessageTransport sends them as encoded frames through the shared
-//     NodeRuntime, falling back to the local path for a node the runtime
-//     predates.
-// Folding is the plan's PlanFold either way.
+// settles or fails over every item the frame answers. It drives either
+// transport of cluster/transport.hpp — the pair PutBatch writes through
+// too — with the same two calls, Dispatch and AwaitReply: the local one
+// (on the caller's thread or over GatherParallel's threads) or the
+// message one through the shared NodeRuntime. Folding is the plan's
+// PlanFold either way.
 //
 // Membership, placement, and storage plumbing stay in
 // in_process_cluster.cpp.
@@ -27,10 +25,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <thread>
 
 #include "cluster/query_ops.hpp"
+#include "cluster/transport.hpp"
 #include "common/check.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/span_tracer.hpp"
@@ -55,227 +53,6 @@ template <typename T>
 void EnsureSlot(std::vector<T>& v, size_t node) {
   if (v.size() <= node) v.resize(node + 1);
 }
-
-/// The in-process transport: serves each request frame against the
-/// target node's store through the cluster's frame binding and answers
-/// it with one reply frame, as a runtime worker would, minus the codec
-/// and the queue. With one thread a frame is served on the caller's
-/// thread as it is sent; with more, sent frames wait, and the next
-/// AwaitReply serves that whole round over the threads and hands the
-/// replies back in send order. Injected latency is charged to the
-/// gather's virtual clock at send time.
-class LocalTransport {
- public:
-  /// `bind` is the cluster's frame binding; with `threads` > 1, round
-  /// worker t records its span on track `first_worker_track + t`.
-  LocalTransport(FrameHandler bind, SpanTracer* spans, uint32_t threads,
-                 uint32_t first_worker_track)
-      : bind_(std::move(bind)),
-        spans_(spans),
-        threads_(threads),
-        first_worker_track_(first_worker_track) {}
-  virtual ~LocalTransport() = default;
-  LocalTransport(const LocalTransport&) = delete;
-  LocalTransport& operator=(const LocalTransport&) = delete;
-
-  /// Sends one frame of `requests` (with per-item attempt numbers and
-  /// injected latency charges) to `node`. One reply frame, holding one
-  /// reply per request, eventually comes out of AwaitReply.
-  virtual Status Dispatch(NodeId node,
-                          std::span<const SubQueryRequest> requests,
-                          std::span<const uint32_t> attempts,
-                          std::span<const Micros> extra_latency_us) {
-    for (const Micros us : extra_latency_us) AdvanceClock(us);
-    if (threads_ <= 1) {
-      ready_.push_back(Serve(node, requests, attempts));
-    } else {
-      pending_.push_back(Frame{node,
-                               {requests.begin(), requests.end()},
-                               {attempts.begin(), attempts.end()}});
-    }
-    return Status::Ok();
-  }
-
-  /// The next reply frame. Call exactly once per sent frame.
-  virtual std::vector<DecodedReply> AwaitReply() {
-    if (ready_.empty()) ServeRound();
-    KV_CHECK(!ready_.empty());
-    std::vector<DecodedReply> frame = std::move(ready_.front());
-    ready_.pop_front();
-    return frame;
-  }
-
-  /// The gather's one virtual clock: injected latency plus failover
-  /// backoff, the clock the deadline is checked against.
-  virtual Micros clock_us() const { return clock_us_; }
-  virtual void AdvanceClock(Micros us) { clock_us_ += us; }
-
- protected:
-  /// True when no frame sent here still awaits its reply.
-  bool idle() const { return ready_.empty() && pending_.empty(); }
-
- private:
-  struct Frame {
-    NodeId node = 0;
-    std::vector<SubQueryRequest> requests;
-    std::vector<uint32_t> attempts;
-  };
-
-  std::vector<DecodedReply> Serve(NodeId node,
-                                  std::span<const SubQueryRequest> requests,
-                                  std::span<const uint32_t> attempts) const;
-
-  /// Serves every pending frame, frame k on round worker k % workers
-  /// (the caller's thread is worker 0), and queues the replies in send
-  /// order, so the loop settles them exactly as a serial gather would.
-  void ServeRound();
-
-  FrameHandler bind_;
-  SpanTracer* spans_;
-  uint32_t threads_;
-  uint32_t first_worker_track_;
-  Micros clock_us_ = 0.0;
-  std::vector<Frame> pending_;  ///< sent, not yet served (threads > 1)
-  std::deque<std::vector<DecodedReply>> ready_;  ///< served, not yet awaited
-};
-
-std::vector<DecodedReply> LocalTransport::Serve(
-    NodeId node, std::span<const SubQueryRequest> requests,
-    std::span<const uint32_t> attempts) const {
-  std::vector<DecodedReply> replies(requests.size());
-  // The frame's store binding, made for its first item and kept while
-  // the items name the same table.
-  ItemServer serve;
-  const std::string* bound_table = nullptr;
-  for (size_t k = 0; k < requests.size(); ++k) {
-    const SubQueryRequest& request = requests[k];
-    DecodedReply& r = replies[k];
-    r.node = node;
-    r.sub_id = request.sub_id;
-    r.attempt = attempts[k];
-    r.store_read = true;
-    if (bound_table == nullptr || *bound_table != request.table) {
-      serve = bind_(node, request.table);
-      bound_table = &request.table;
-    }
-    SpanTracer::Scope read;
-    if (spans_ != nullptr) {
-      read = spans_->StartSpan("store-read", node);
-      read.Attr("partition", request.partition_key);
-      read.Attr("attempt", std::to_string(r.attempt));
-    }
-    Result<OperatorResult> columns = serve(request, &r.probe);
-    if (read.active()) {
-      read.Attr("blocks_decoded", std::to_string(r.probe.blocks_decoded));
-      read.Attr("blocks_from_cache", std::to_string(r.probe.blocks_from_cache));
-      read.Attr("bloom_negatives", std::to_string(r.probe.bloom_negatives));
-      read.End();
-    }
-    SubQueryReply reply;
-    reply.query_id = request.query_id;
-    reply.sub_id = request.sub_id;
-    reply.node = node;
-    if (columns.ok()) {
-      reply.type_ids = std::move(columns.value().col_a);
-      reply.counts = std::move(columns.value().col_b);
-    } else {
-      reply.status = static_cast<uint32_t>(columns.status().code());
-    }
-    r.reply = std::move(reply);
-  }
-  return replies;
-}
-
-void LocalTransport::ServeRound() {
-  ready_.resize(pending_.size());  // empty before: AwaitReply drained it
-  const size_t workers = std::min<size_t>(threads_, pending_.size());
-  auto work = [&](size_t t) {
-    SpanTracer::Scope span;
-    if (spans_ != nullptr) {
-      span = spans_->StartSpan("worker",
-                               first_worker_track_ + static_cast<uint32_t>(t));
-    }
-    for (size_t k = t; k < pending_.size(); k += workers) {
-      ready_[k] = Serve(pending_[k].node, pending_[k].requests,
-                        pending_[k].attempts);
-    }
-  };
-  std::vector<std::thread> pool;
-  for (size_t t = 1; t < workers; ++t) pool.emplace_back(work, t);
-  if (workers > 0) work(0);
-  for (std::thread& worker : pool) worker.join();
-  pending_.clear();
-}
-
-/// The wire transport: a thin adapter over the shared NodeRuntime for one
-/// registered query. It owns the query's admission slot (Begin / End) and
-/// its wire accounting, and the runtime's per-query clock is the gather's
-/// virtual clock (workers charge injected latency to it after serving,
-/// so a deadline can shed requests still queued). A node the runtime
-/// predates — a join raced this gather — has no queue in it, yet its
-/// store is live and may hold the only reachable copy while the
-/// migration window is open, so that node's frames take the local path
-/// instead of burning every attempt on kUnavailable.
-class MessageTransport final : public LocalTransport {
- public:
-  MessageTransport(std::shared_ptr<NodeRuntime> runtime, uint64_t query_id,
-                   FrameHandler bind, SpanTracer* spans)
-      : LocalTransport(std::move(bind), spans, 1, 0),
-        runtime_(std::move(runtime)),
-        query_id_(query_id) {}
-
-  /// Admission: registers the query with the runtime.
-  Status Begin(const NodeRuntime::QueryOptions& options) {
-    return runtime_->BeginQuery(query_id_, options);
-  }
-
-  /// Copies the query's private wire accounting into `result` and
-  /// releases its slot. Every sent frame must have been awaited.
-  void End(GatherResult& result) {
-    result.queue_wait_us = runtime_->query_queue_wait_us(query_id_);
-    const NodeRuntime::WireStats wire = runtime_->query_wire_stats(query_id_);
-    result.wire_frames_sent = wire.frames_sent;
-    result.wire_bytes_sent = wire.bytes_sent;
-    result.wire_bytes_received = wire.bytes_received;
-    result.wire_encode_us = wire.encode_us;
-    result.wire_decode_us = wire.decode_us;
-    runtime_->EndQuery(query_id_);
-  }
-
-  /// True when frames to `node` cross the wire (and so carry the real
-  /// stage timestamps); false for the local fallback.
-  bool Wired(NodeId node) const { return node < runtime_->node_count(); }
-
-  /// Wall-clock microseconds on the runtime's stage-timestamp scale.
-  Micros now_us() const { return runtime_->now_us(); }
-
-  Status Dispatch(NodeId node, std::span<const SubQueryRequest> requests,
-                  std::span<const uint32_t> attempts,
-                  std::span<const Micros> extra_latency_us) override {
-    if (!Wired(node)) {
-      return LocalTransport::Dispatch(node, requests, attempts,
-                                      extra_latency_us);
-    }
-    return runtime_->Dispatch(query_id_, node, requests, attempts,
-                              extra_latency_us);
-  }
-
-  /// Local fallback replies are ready at once, so they go first; the
-  /// runtime only ever surfaces this query's replies.
-  std::vector<DecodedReply> AwaitReply() override {
-    return idle() ? runtime_->AwaitReply(query_id_)
-                  : LocalTransport::AwaitReply();
-  }
-
-  Micros clock_us() const override { return runtime_->clock_us(query_id_); }
-  void AdvanceClock(Micros us) override {
-    runtime_->AdvanceClock(query_id_, us);
-  }
-
- private:
-  std::shared_ptr<NodeRuntime> runtime_;
-  uint64_t query_id_;
-};
 
 }  // namespace
 
@@ -456,14 +233,8 @@ std::shared_ptr<NodeRuntime> InProcessCluster::EnsureRuntime(
   rt_options.max_inflight_queries = options.max_inflight;
   rt_options.on_admission_full = options.admission_policy;
   runtime_ = std::make_shared<NodeRuntime>(
-      node_count(), rt_options,
-      [this](uint32_t node, const std::string& table) {
-        return BindFrame(node, table);
-      },
-      codec_registry_, injector_, metrics_, spans_,
-      [this](uint32_t node, const WriteBatch& batch, NodeRuntime& self) {
-        return ServeWriteBatchMessage(node, batch, self);
-      },
+      node_count(), rt_options, frame_binding_, codec_registry_, injector_,
+      metrics_, spans_, write_binding_,
       [this](uint32_t node, const std::string& table) {
         RunMaintenanceStep(node, table);
       });
@@ -521,16 +292,14 @@ GatherResult InProcessCluster::RunGather(const QueryPlan& plan,
   // flow-linked to the sub-query that caused the work.
   const bool sampled = message && spans_ != nullptr && spans_->enabled();
 
-  FrameHandler bind = [this](uint32_t node, const std::string& table) {
-    return BindFrame(node, table);
-  };
   std::unique_ptr<LocalTransport> transport;
   MessageTransport* wire = nullptr;  // set on the message path only
   if (message) {
     // The shared runtime: built on the first message gather, reused by
     // every one after it (and by every one running concurrently).
     auto owned = std::make_unique<MessageTransport>(
-        EnsureRuntime(options), query_id, std::move(bind), spans_);
+        EnsureRuntime(options), query_id, frame_binding_, write_binding_,
+        spans_);
     wire = owned.get();
     transport = std::move(owned);
     NodeRuntime::QueryOptions query_options;
@@ -560,8 +329,8 @@ GatherResult InProcessCluster::RunGather(const QueryPlan& plan,
       return result;
     }
   } else {
-    transport = std::make_unique<LocalTransport>(std::move(bind), spans_,
-                                                 threads, master_track() + 1);
+    transport = std::make_unique<LocalTransport>(
+        frame_binding_, write_binding_, spans_, threads, master_track() + 1);
   }
 
   SpanTracer::Scope gather;

@@ -162,10 +162,12 @@ struct PutOptions {
   /// the copies the new owners are missing (columns are idempotent
   /// overwrites, so chasing the data is always safe).
   uint32_t max_epoch_retries = 2;
-  /// Message transport only: once a write leaves the touched table's
-  /// memtable at or above this many bytes, the write handler schedules a
-  /// background flush on the node's own worker pool — maintenance
-  /// competes with reads and writes for the same threads (0 = never).
+  /// Message transport only: once one of this put's writes leaves the
+  /// touched table's memtable at or above this many bytes, the write
+  /// handler schedules a background flush on the node's own worker pool
+  /// — maintenance competes with reads and writes for the same threads
+  /// (0 = never). Per put: it travels with the put's own runtime query,
+  /// so concurrent puts with different watermarks never see each other's.
   uint64_t flush_watermark_bytes = 0;
 
   // -- Transport knobs (mirrors GatherOptions) ----------------------------
@@ -507,7 +509,7 @@ class InProcessCluster {
   GatherResult RunGather(const QueryPlan& plan, const GatherOptions& options,
                          uint32_t threads);
 
-  /// The one store binding: resolves `node`'s store and `table` once and
+  /// The one read binding: resolves `node`'s store and `table` once and
   /// returns the server a request frame's items run through (a failed
   /// lookup refuses each item the same way). Serves both the runtime's
   /// workers and the local transport.
@@ -574,22 +576,25 @@ class InProcessCluster {
   const std::vector<NodeId>& ReplicasOfLocked(std::string_view partition_key)
       KV_REQUIRES(route_mu_);
 
-  /// Applies one write batch to `node`'s store — the one body both
-  /// write transports share (write_path.cpp). Mirrors the message
-  /// path's checks on the direct path: a dead node refuses the whole
-  /// batch with kUnavailable; per-key WAL faults (OnWalWrite) land in
-  /// failed_keys. WAL-backed nodes group-commit through DurablePutBatch
-  /// (one Sync per call); WAL-less nodes apply straight to the table.
-  /// The routing fields of the returned reply are left for the caller.
+  /// Applies one write batch to `node`'s store (write_path.cpp). Mirrors
+  /// the runtime's dequeue check for a batch served in process: a dead
+  /// node refuses the whole batch with kUnavailable; per-key WAL faults
+  /// (OnWalWrite) land in failed_keys. WAL-backed nodes group-commit
+  /// through DurablePutBatch (one Sync per call); WAL-less nodes apply
+  /// straight to the table. The routing fields of the returned reply are
+  /// left for the caller.
   WriteReply ApplyWriteBatchAt(uint32_t node, const std::string& table,
                                std::vector<BatchPutItem> items);
 
-  /// The message transport's write handler body: decodes the batch's
+  /// The one write binding (a WriteBatchHandler), served by the runtime's
+  /// workers and by the local transport alike: decodes the batch's
   /// columns, applies them via ApplyWriteBatchAt, and — when the put
-  /// armed a flush watermark — schedules a background flush on the
-  /// node's own worker pool once the memtable crossed it.
-  WriteReply ServeWriteBatchMessage(uint32_t node, const WriteBatch& batch,
-                                    NodeRuntime& runtime);
+  /// armed a flush watermark and a runtime serves the batch — schedules
+  /// a background flush on the node's own worker pool once the memtable
+  /// crossed it.
+  WriteReply ServeWriteBatch(uint32_t node, const WriteBatch& batch,
+                             uint64_t flush_watermark_bytes,
+                             NodeRuntime* runtime);
 
   /// One scheduled background-maintenance step: flushes `table` on
   /// `node` (which also runs the size-tiered compaction check), executed
@@ -657,11 +662,17 @@ class InProcessCluster {
   /// Message set shared by every gather's runtime (both "peers" — the
   /// master's encoder and the slaves' decoders — see the same ids).
   CompactCodec codec_registry_;
-  /// The background-flush watermark the current message put armed (0 =
-  /// off). Atomic because node workers read it while the master writes
-  /// it; a worker observing a just-replaced value merely flushes a
-  /// little early or late, which maintenance tolerates by design.
-  std::atomic<uint64_t> flush_watermark_bytes_{0};
+  /// The two store bindings every transport serves through: the runtime's
+  /// workers and the local transport alike.
+  const FrameHandler frame_binding_ = [this](uint32_t node,
+                                             const std::string& table) {
+    return BindFrame(node, table);
+  };
+  const WriteBatchHandler write_binding_ =
+      [this](uint32_t node, const WriteBatch& batch,
+             uint64_t flush_watermark_bytes, NodeRuntime* runtime) {
+        return ServeWriteBatch(node, batch, flush_watermark_bytes, runtime);
+      };
   std::atomic<uint64_t> next_query_id_{1};
   /// Monotone clock driving the time-series cadence: the cumulative wall
   /// time of finished gathers, in nanoseconds (integer so concurrent

@@ -36,6 +36,17 @@ double NanosToMicros(uint64_t nanos) {
   return static_cast<double>(nanos) / 1000.0;
 }
 
+/// Charges `us` of codec work to the lifetime total, the query's total
+/// and the histogram of one direction (encode or decode).
+void ChargeCodec(std::atomic<uint64_t>& lifetime,
+                 std::atomic<uint64_t>& per_query, LatencyHistogram* hist,
+                 Micros us) {
+  const uint64_t nanos = MicrosToNanos(us);
+  lifetime.fetch_add(nanos, std::memory_order_relaxed);
+  per_query.fetch_add(nanos, std::memory_order_relaxed);
+  if (hist != nullptr) hist->Record(us);
+}
+
 /// A frame binding with nothing to resolve: every item calls `handler`
 /// with its node.
 FrameHandler PerItem(SubQueryHandler handler) {
@@ -261,44 +272,28 @@ Micros NodeRuntime::query_queue_wait_us(uint64_t query_id) const {
   return NanosToMicros(query->queue_wait_nanos.load(std::memory_order_relaxed));
 }
 
-Status NodeRuntime::Dispatch(uint64_t query_id, uint32_t node,
-                             std::span<const SubQueryRequest> requests,
-                             std::span<const uint32_t> attempts,
-                             std::span<const Micros> extra_latency_us) {
+template <typename Encode>
+Status NodeRuntime::Enqueue(uint64_t query_id, uint32_t node,
+                            RequestEnvelope env, Encode&& encode) {
   if (node >= queues_.size()) {
-    // A gather holding a runtime built before a membership change can
+    // A query holding a runtime built before a membership change can
     // route to a node this runtime never had a queue for. That is a
-    // transport failure, not a bug: the caller's retry machinery
-    // re-resolves against the current ring.
+    // transport failure, not a bug: the caller retries against the
+    // current ring or serves the frame in process.
     return Status::Unavailable("node " + std::to_string(node) +
                                " is not part of this runtime");
   }
-  KV_CHECK(!requests.empty());
-  KV_CHECK(requests.size() == attempts.size());
-  KV_CHECK(requests.size() == extra_latency_us.size());
-  auto query = FindQuery(query_id);
+  std::shared_ptr<QueryState> query = FindQuery(query_id);
   KV_CHECK(query != nullptr);  // dispatch before BeginQuery / after EndQuery
-
-  RequestEnvelope env;
   env.node = node;
   env.query = query;
   env.issued_us = NowMicros();  // encode time belongs to master-to-slave
   WireBuffer buf;
-  EncodeSubQueryBatch(requests, attempts, query->trace_flags, query->codec,
-                      registry_, buf);
-  const Micros encode_us = NowMicros() - env.issued_us;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query->encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
-
+  encode(*query, buf);
+  ChargeCodec(encode_nanos_, query->encode_nanos, encode_hist_,
+              NowMicros() - env.issued_us);
   const uint64_t frame_bytes = buf.size();
   env.frame = buf.TakeBytes();
-  env.sub_ids.reserve(requests.size());
-  for (const SubQueryRequest& req : requests) env.sub_ids.push_back(req.sub_id);
-  env.attempts.assign(attempts.begin(), attempts.end());
-  env.extra_latency_us.assign(extra_latency_us.begin(),
-                              extra_latency_us.end());
 
   auto stamp_received = [this](RequestEnvelope& e) {
     e.received_us = NowMicros();
@@ -324,62 +319,39 @@ Status NodeRuntime::Dispatch(uint64_t query_id, uint32_t node,
   return Status::Ok();
 }
 
+Status NodeRuntime::Dispatch(uint64_t query_id, uint32_t node,
+                             std::span<const SubQueryRequest> requests,
+                             std::span<const uint32_t> attempts,
+                             std::span<const Micros> extra_latency_us) {
+  KV_CHECK(!requests.empty());
+  KV_CHECK(requests.size() == attempts.size());
+  KV_CHECK(requests.size() == extra_latency_us.size());
+  RequestEnvelope env;
+  env.sub_ids.reserve(requests.size());
+  for (const SubQueryRequest& req : requests) env.sub_ids.push_back(req.sub_id);
+  env.attempts.assign(attempts.begin(), attempts.end());
+  env.extra_latency_us.assign(extra_latency_us.begin(),
+                              extra_latency_us.end());
+  return Enqueue(query_id, node, std::move(env),
+                 [&](const QueryState& query, WireBuffer& buf) {
+                   EncodeSubQueryBatch(requests, attempts, query.trace_flags,
+                                       query.codec, registry_, buf);
+                 });
+}
+
 Status NodeRuntime::DispatchWrite(uint64_t query_id, uint32_t node,
-                                  const WriteBatch& batch, uint32_t attempt,
-                                  Micros extra_latency_us) {
-  if (node >= queues_.size()) {
-    // Same stale-membership escape hatch as Dispatch: the caller's
-    // retry machinery re-resolves against the current ring.
-    return Status::Unavailable("node " + std::to_string(node) +
-                               " is not part of this runtime");
-  }
+                                  const WriteBatch& batch, uint32_t attempt) {
   KV_CHECK(write_handler_ != nullptr);  // runtime built without a write path
   KV_CHECK(!batch.keys.empty());
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);  // dispatch before BeginQuery / after EndQuery
-
   RequestEnvelope env;
   env.kind = EnvelopeKind::kWrite;
-  env.node = node;
-  env.query = query;
-  env.issued_us = NowMicros();
-  WireBuffer buf;
-  EncodeWriteBatchFrame(batch, attempt, query->trace_flags, query->codec,
-                        registry_, buf);
-  const Micros encode_us = NowMicros() - env.issued_us;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query->encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
-
-  const uint64_t frame_bytes = buf.size();
-  env.frame = buf.TakeBytes();
   env.sub_ids = {batch.sub_id};
   env.attempts = {attempt};
-  env.extra_latency_us = {extra_latency_us};
-
-  auto stamp_received = [this](RequestEnvelope& e) {
-    e.received_us = NowMicros();
-  };
-  const bool pushed =
-      options_.on_queue_full == QueueFullPolicy::kBlock
-          ? queues_[node]->Push(std::move(env), stamp_received)
-          : queues_[node]->TryPush(std::move(env), stamp_received);
-  if (!pushed) {
-    return Status::ResourceExhausted(
-        "node " + std::to_string(node) + " queue full (depth " +
-        std::to_string(options_.queue_depth) + ")");
-  }
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
-  query->frames_sent.fetch_add(1, std::memory_order_relaxed);
-  query->bytes_sent.fetch_add(frame_bytes, std::memory_order_relaxed);
-  if (frames_counter_ != nullptr) frames_counter_->Increment();
-  if (bytes_sent_counter_ != nullptr) {
-    bytes_sent_counter_->Increment(frame_bytes);
-  }
-  SetDepthGauge(node);
-  return Status::Ok();
+  return Enqueue(query_id, node, std::move(env),
+                 [&](const QueryState& query, WireBuffer& buf) {
+                   EncodeWriteBatchFrame(batch, attempt, query.trace_flags,
+                                         query.codec, registry_, buf);
+                 });
 }
 
 bool NodeRuntime::ScheduleMaintenance(uint32_t node, std::string table) {
@@ -447,10 +419,7 @@ void NodeRuntime::ServeReads(uint32_t node, const RequestEnvelope& env,
   const Micros decode_start = NowMicros();
   auto decoded = DecodeSubQueryBatch(env.frame, query.codec, registry_);
   const Micros decode_us = NowMicros() - decode_start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query.decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+  ChargeCodec(decode_nanos_, query.decode_nanos, decode_hist_, decode_us);
 
   // Node-side observability runs off the *decoded wire context*, not
   // the in-memory transport metadata: a frame is only traced when its
@@ -612,11 +581,8 @@ void NodeRuntime::ServeReads(uint32_t node, const RequestEnvelope& env,
   EncodeReplyBatch(replies, env.attempts, wire_flags, query.codec, registry_,
                    buf);
   encode_scope.End();
-  const Micros encode_us = NowMicros() - encode_start;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query.encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
+  ChargeCodec(encode_nanos_, query.encode_nanos, encode_hist_,
+              NowMicros() - encode_start);
   out.frame = buf.TakeBytes();
 
   if (corrupt_reply) {
@@ -644,17 +610,14 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
 
   const Micros decode_start = NowMicros();
   auto decoded = DecodeWriteBatchFrame(env.frame, query.codec, registry_);
-  const Micros decode_us = NowMicros() - decode_start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query.decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+  ChargeCodec(decode_nanos_, query.decode_nanos, decode_hist_,
+              NowMicros() - decode_start);
 
   Status transport = Status::Ok();
   if (!decoded.ok()) {
     transport = decoded.status();
-  } else if (decoded.value().batch.sub_id != env.sub_ids.front() ||
-             decoded.value().attempt != env.attempts.front()) {
+  } else if (decoded.value().batch.sub_id != item.sub_id ||
+             decoded.value().attempt != item.attempt) {
     transport =
         Status::Corruption("write batch does not match its transport metadata");
   } else if (decoded.value().batch.target != node) {
@@ -665,9 +628,6 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
   }
   const uint8_t wire_flags =
       decoded.ok() ? decoded.value().trace_flags : query.trace_flags;
-  const bool sampled = (wire_flags & kTraceSampled) != 0 && transport.ok() &&
-                       spans_ != nullptr;
-  const uint64_t flow = TraceFlowId(query.query_id, item.sub_id, item.attempt);
 
   WriteReply reply;
   reply.query_id = query.query_id;
@@ -680,9 +640,6 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
     // Dequeue injection point, same as reads: the node died while the
     // batch sat in its queue. Nothing reached the WAL.
     reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
-  } else if (query.deadline_us > 0.0 &&
-             ClockMicros(query) >= query.deadline_us) {
-    reply.status = static_cast<uint32_t>(StatusCode::kResourceExhausted);
   } else {
     const WriteBatch& batch = decoded.value().batch;
     item.db_start_us = NowMicros();
@@ -691,15 +648,10 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
       write_span = spans_->StartSpan("store-write", node);
       write_span.Attr("keys", std::to_string(batch.keys.size()));
       write_span.Attr("attempt", std::to_string(item.attempt));
-      if (sampled) {
-        write_span.Flow(flow, FlowPhase::kStep);
-        write_span.Attr("query", std::to_string(query.query_id));
-        write_span.Attr("sub", std::to_string(item.sub_id));
-      }
     }
-    WriteReply served = write_handler_(node, batch, *this);
+    WriteReply served =
+        write_handler_(node, batch, query.flush_watermark_bytes, this);
     item.db_end_us = NowMicros();
-    item.store_read = true;  // the handler ran (write-side analogue)
     write_span.End();
     // The routing fields are the runtime's, not the handler's: a handler
     // bug must not be able to misroute a reply past the demultiplexer.
@@ -708,42 +660,44 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
     served.node = node;
     served.db_micros = item.db_end_us - item.db_start_us;
     reply = std::move(served);
-    query.clock_nanos.fetch_add(
-        MicrosToNanos(env.extra_latency_us.front()),
-        std::memory_order_relaxed);
   }
 
   const Micros encode_start = NowMicros();
   WireBuffer buf;
   EncodeWriteReplyFrame(reply, item.attempt, wire_flags, query.codec,
                         registry_, buf);
-  const Micros encode_us = NowMicros() - encode_start;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query.encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
+  ChargeCodec(encode_nanos_, query.encode_nanos, encode_hist_,
+              NowMicros() - encode_start);
   out.frame = buf.TakeBytes();
 
   query.replies.Push(std::move(out));
+}
+
+std::optional<NodeRuntime::ReplyEnvelope> NodeRuntime::PopReply(
+    QueryState& query) {
+  std::optional<ReplyEnvelope> popped = query.replies.Pop();
+  if (popped) {
+    const uint64_t bytes = popped->frame.size();
+    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+    query.bytes_received.fetch_add(bytes, std::memory_order_relaxed);
+    if (bytes_received_counter_ != nullptr) {
+      bytes_received_counter_->Increment(bytes);
+    }
+  }
+  return popped;
 }
 
 std::vector<NodeRuntime::DecodedReply> NodeRuntime::AwaitReply(
     uint64_t query_id) {
   auto query = FindQuery(query_id);
   KV_CHECK(query != nullptr);
-  auto popped = query->replies.Pop();
+  std::optional<ReplyEnvelope> popped = PopReply(*query);
   if (!popped) {
     std::vector<DecodedReply> closed(1);
     closed.front().reply = Status::Unavailable("node runtime shut down");
     return closed;
   }
   ReplyEnvelope env = std::move(*popped);
-  bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
-  query->bytes_received.fetch_add(env.frame.size(),
-                                  std::memory_order_relaxed);
-  if (bytes_received_counter_ != nullptr) {
-    bytes_received_counter_->Increment(env.frame.size());
-  }
 
   const Micros decode_start = NowMicros();
   // The query_id-checked decode is the wire half of the demultiplexer: a
@@ -797,11 +751,8 @@ std::vector<NodeRuntime::DecodedReply> NodeRuntime::AwaitReply(
       r.reply = frame_status;
     }
   }
-  const Micros decode_us = NowMicros() - decode_start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query->decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+  ChargeCodec(decode_nanos_, query->decode_nanos, decode_hist_,
+              NowMicros() - decode_start);
   return out;
 }
 
@@ -810,29 +761,14 @@ NodeRuntime::DecodedWriteReply NodeRuntime::AwaitWriteReply(
   auto query = FindQuery(query_id);
   KV_CHECK(query != nullptr);
   DecodedWriteReply out;
-  auto popped = query->replies.Pop();
+  std::optional<ReplyEnvelope> popped = PopReply(*query);
   if (!popped) {
     out.reply = Status::Unavailable("node runtime shut down");
     return out;
   }
-  ReplyEnvelope env = std::move(*popped);
+  const ReplyEnvelope& env = *popped;
   const ReplyItem& item = env.items.front();
-  out.node = env.node;
   out.sub_id = item.sub_id;
-  out.attempt = item.attempt;
-  out.store_write = item.store_read;
-  out.issued_us = env.issued_us;
-  out.received_us = env.received_us;
-  out.db_start_us = item.db_start_us;
-  out.db_end_us = item.db_end_us;
-  out.reply_bytes = env.frame.size();
-
-  bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
-  query->bytes_received.fetch_add(env.frame.size(),
-                                  std::memory_order_relaxed);
-  if (bytes_received_counter_ != nullptr) {
-    bytes_received_counter_->Increment(env.frame.size());
-  }
 
   const Micros decode_start = NowMicros();
   auto decoded =
@@ -846,14 +782,10 @@ NodeRuntime::DecodedWriteReply NodeRuntime::AwaitWriteReply(
         " disagrees with the transport metadata's " +
         std::to_string(item.attempt));
   } else {
-    out.trace_flags = decoded.value().trace_flags;
     out.reply = std::move(decoded).value().reply;
   }
-  const Micros decode_us = NowMicros() - decode_start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query->decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+  ChargeCodec(decode_nanos_, query->decode_nanos, decode_hist_,
+              NowMicros() - decode_start);
   return out;
 }
 

@@ -204,13 +204,16 @@ class NodeRuntime;
 /// Applies one decoded WriteBatch to `node`'s store, returning the reply
 /// body (status, applied count, per-key failure indices, sync-failure
 /// tally). The runtime stamps query_id/sub_id/node and db_micros itself,
-/// so a handler cannot misroute a reply. `self` is the runtime serving
-/// the batch, so a handler can ScheduleMaintenance (e.g. a background
-/// flush once a memtable crosses a watermark) without holding any lock
-/// that could outlive the runtime. Must be safe to call from many
+/// so a handler cannot misroute a reply. `flush_watermark_bytes` is the
+/// owning put's (0 = never): once the write leaves the table's memtable
+/// at or above it, the handler may ScheduleMaintenance on `self`, the
+/// runtime serving the batch, without holding any lock that could
+/// outlive the runtime. `self` is null when the batch is served outside
+/// any runtime (the local transport). Must be safe to call from many
 /// workers at once.
 using WriteBatchHandler = std::function<WriteReply(
-    uint32_t node, const WriteBatch& batch, NodeRuntime& self)>;
+    uint32_t node, const WriteBatch& batch, uint64_t flush_watermark_bytes,
+    NodeRuntime* self)>;
 
 /// Runs one scheduled background-maintenance step (memtable flush /
 /// compaction check) for `table` on `node`'s store. Executed by the
@@ -239,6 +242,9 @@ class NodeRuntime {
     /// / store-read / encode spans flow-linked to the owning sub-query
     /// via the context they decode off the wire.
     uint8_t trace_flags = 0;
+    /// Write queries only: the watermark handed to the write handler
+    /// with each of this query's batches (0 = never flush).
+    uint64_t flush_watermark_bytes = 0;
   };
 
   /// Wire-level totals. Bytes "sent" are master-egress request frames;
@@ -357,24 +363,14 @@ class NodeRuntime {
   /// kUnavailable item.
   std::vector<DecodedReply> AwaitReply(uint64_t query_id);
 
-  /// One decoded write reply plus its transport metadata. `store_write`
-  /// is true when the write handler actually ran (false for liveness
-  /// bounces and deadline sheds — those never touched the WAL).
+  /// One decoded write reply: the batch it answers (its sub_id, from the
+  /// transport metadata) and the reply itself.
   struct DecodedWriteReply {
-    uint32_t node = 0;
     uint32_t sub_id = 0;
-    uint32_t attempt = 0;
-    bool store_write = false;
-    uint8_t trace_flags = 0;
     /// An error here means the reply *frame* was unreadable or named a
     /// different query; a decoded reply whose `status` field is non-OK
     /// reports a store-side refusal instead.
     Result<WriteReply> reply = Status::Unavailable("no reply");
-    Micros issued_us = 0.0;
-    Micros received_us = 0.0;
-    Micros db_start_us = 0.0;
-    Micros db_end_us = 0.0;
-    uint64_t reply_bytes = 0;
   };
 
   /// Encodes `batch` into a WriteBatch frame with `query_id`'s codec and
@@ -383,8 +379,7 @@ class NodeRuntime {
   /// dispatched batch eventually reaches AwaitWriteReply(query_id). The
   /// runtime must have been built with a write handler.
   Status DispatchWrite(uint64_t query_id, uint32_t node,
-                       const WriteBatch& batch, uint32_t attempt,
-                       Micros extra_latency_us = 0.0);
+                       const WriteBatch& batch, uint32_t attempt);
 
   /// Blocks until one of `query_id`'s write replies arrives and decodes
   /// it. Call exactly once per dispatched write batch.
@@ -468,12 +463,14 @@ class NodeRuntime {
           codec(options.codec),
           deadline_us(options.deadline_us),
           trace_flags(options.trace_flags),
+          flush_watermark_bytes(options.flush_watermark_bytes),
           replies(static_cast<size_t>(-1)) {}
 
     const uint64_t query_id;
     const WireCodecKind codec;
     const Micros deadline_us;
     const uint8_t trace_flags;
+    const uint64_t flush_watermark_bytes;
     /// Unbounded for the same reason the old global reply queue was: a
     /// worker must never block on a reply while the master blocks
     /// pushing into a full request queue, or the two would deadlock.
@@ -507,21 +504,33 @@ class NodeRuntime {
     // needs for injection and shedding decisions.
     std::vector<uint32_t> sub_ids;
     std::vector<uint32_t> attempts;
-    std::vector<Micros> extra_latency_us;
+    std::vector<Micros> extra_latency_us;  ///< read frames only
     std::string maintenance_table;  ///< kMaintenance only
     Micros issued_us = 0.0;    ///< master began handing off (pre-encode)
     Micros received_us = 0.0;  ///< envelope entered the node's queue
   };
 
+  /// The one send step read and write frames share: registers `env` to
+  /// `query_id`, stamps it issued, lets `encode(query, buffer)` write the
+  /// frame (the encode time is charged to the query), and enqueues it on
+  /// `node` under the queue-full policy, counting the frame and its
+  /// bytes and updating the depth gauge on success.
+  template <typename Encode>
+  Status Enqueue(uint64_t query_id, uint32_t node, RequestEnvelope env,
+                 Encode&& encode);
+  /// The one receive step both awaits share: pops `query`'s next reply
+  /// frame and counts its bytes as received; nullopt once the channel is
+  /// closed (after Shutdown).
+  std::optional<ReplyEnvelope> PopReply(QueryState& query);
   void WorkerLoop(uint32_t node);
   /// Serves one dequeued read frame end to end: decode, one liveness
   /// check, every item (or its refusal) through one frame binding, and
   /// one encoded reply frame pushed onto the owning query's channel.
   /// `wait_us` is the frame's queue residency (for its span).
   void ServeReads(uint32_t node, const RequestEnvelope& env, Micros wait_us);
-  /// Serves one dequeued write envelope end to end: decode, liveness /
-  /// deadline checks, the write handler, and the encoded WriteReply
-  /// pushed onto the owning query's channel.
+  /// Serves one dequeued write envelope end to end: decode, the liveness
+  /// check, the write handler, and the encoded WriteReply pushed onto the
+  /// owning query's channel.
   void ServeWrite(uint32_t node, const RequestEnvelope& env);
   Micros NowMicros() const;
   void SetDepthGauge(uint32_t node);

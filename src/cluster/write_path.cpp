@@ -3,9 +3,17 @@
 // PutBatch routes every item to its replica set, groups the writes per
 // node, and applies each group as WriteBatch frames of at most
 // `options.batch` keys — one group-commit WAL Sync() per batch instead of
-// one per key. Both transports funnel into ApplyWriteBatchAt, so the
-// direct path and the message path make identical fault decisions: node
-// liveness is checked per batch, WAL refusal per key via
+// one per key. One round body serves both transports: it sends every
+// chunk's WriteBatch through the gather's transport pair
+// (cluster/transport.hpp), awaits one reply per batch and folds it. The
+// local transport serves a batch at once through the write binding
+// (ServeWriteBatch) the runtime's workers call too; the message
+// transport sends it through the shared NodeRuntime, whose BeginQuery /
+// EndQuery do the put's admission and wire accounting, and applies it in
+// process when the runtime cannot take it (a node the runtime predates,
+// a send refused under kReject). Either way the batch ends in
+// ApplyWriteBatchAt, so both transports make identical fault decisions:
+// node liveness is checked per batch, WAL refusal per key via
 // FaultInjector::OnWalWrite, which hashes (seed, node, key) and never the
 // batch shape. That is what makes a PutBatch under quorum kAll
 // bit-identical in stored state to issuing the same items as sequential
@@ -31,6 +39,7 @@
 #include <vector>
 
 #include "cluster/in_process_cluster.hpp"
+#include "cluster/transport.hpp"
 #include "common/check.hpp"
 #include "telemetry/metrics_registry.hpp"
 
@@ -178,9 +187,10 @@ WriteReply InProcessCluster::ApplyWriteBatchAt(uint32_t node,
   return reply;
 }
 
-WriteReply InProcessCluster::ServeWriteBatchMessage(uint32_t node,
-                                                    const WriteBatch& batch,
-                                                    NodeRuntime& runtime) {
+WriteReply InProcessCluster::ServeWriteBatch(uint32_t node,
+                                             const WriteBatch& batch,
+                                             uint64_t flush_watermark_bytes,
+                                             NodeRuntime* runtime) {
   std::vector<BatchPutItem> items;
   items.reserve(batch.keys.size());
   for (size_t i = 0; i < batch.keys.size(); ++i) {
@@ -197,17 +207,16 @@ WriteReply InProcessCluster::ServeWriteBatchMessage(uint32_t node,
     items.push_back(std::move(item));
   }
   WriteReply reply = ApplyWriteBatchAt(node, batch.table, std::move(items));
-  const uint64_t watermark =
-      flush_watermark_bytes_.load(std::memory_order_relaxed);
-  if (watermark > 0) {
+  if (flush_watermark_bytes > 0 && runtime != nullptr) {
     std::shared_ptr<LocalStore> store = NodePtr(node);
     if (store != nullptr) {
       auto found = store->FindTable(batch.table);
-      if (found.ok() && found.value()->memtable_bytes() >= watermark) {
+      if (found.ok() &&
+          found.value()->memtable_bytes() >= flush_watermark_bytes) {
         // Compete for the node's own workers. A full queue drops the step
         // (the next write over the watermark re-arms it) instead of
         // blocking a worker that schedules from inside the pool.
-        runtime.ScheduleMaintenance(node, batch.table);
+        runtime->ScheduleMaintenance(node, batch.table);
       }
     }
   }
@@ -271,20 +280,19 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     state[k].replicas = ReplicasOf(items[k].partition_key);
   }
 
-  // Folds one node's reply into the per-key ledgers and the counters.
-  // Every key the chunk carried ends in exactly one ledger; cluster
-  // .put.errors is bumped here — and only here — so per-key refusals and
-  // whole-batch refusals count uniformly.
-  auto fold = [&](const WriteChunk& chunk, const WriteReply& reply,
-                  const Status& transport_error) {
-    result.sync_failures += reply.sync_failures;
-    const StatusCode code = !transport_error.ok()
-                                ? transport_error.code()
-                                : static_cast<StatusCode>(reply.status);
+  // Folds one node's reply into the per-key ledgers and the counters; an
+  // error in `replied` is an unreadable reply frame. Every key the chunk
+  // carried ends in exactly one ledger; cluster.put.errors is bumped
+  // here — and only here — so per-key refusals and whole-batch refusals
+  // count uniformly.
+  auto fold = [&](const WriteChunk& chunk, const Result<WriteReply>& replied) {
+    if (replied.ok()) result.sync_failures += replied.value().sync_failures;
+    const StatusCode code =
+        replied.ok() ? static_cast<StatusCode>(replied.value().status)
+                     : replied.status().code();
     if (code != StatusCode::kOk) {
-      const Status failure = !transport_error.ok()
-                                 ? transport_error
-                                 : WriteRefusal(code, chunk.node);
+      const Status failure =
+          !replied.ok() ? replied.status() : WriteRefusal(code, chunk.node);
       for (const size_t k : chunk.keys) {
         state[k].failed.push_back(chunk.node);
         ++result.replica_failures;
@@ -293,11 +301,11 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
       if (result.first_error.ok()) result.first_error = failure;
       return;
     }
+    const std::vector<uint64_t>& failed_keys = replied.value().failed_keys;
     size_t next_failed = 0;
     for (size_t i = 0; i < chunk.keys.size(); ++i) {
       const size_t k = chunk.keys[i];
-      if (next_failed < reply.failed_keys.size() &&
-          reply.failed_keys[next_failed] == i) {
+      if (next_failed < failed_keys.size() && failed_keys[next_failed] == i) {
         ++next_failed;
         state[k].failed.push_back(chunk.node);
         ++result.replica_failures;
@@ -334,15 +342,9 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     return chunks;
   };
 
-  // Copies of the chunk's items, in batch order. Copies, not moves: a
-  // later epoch-retry round may re-send the same item to a new owner.
-  auto chunk_items = [&](const WriteChunk& chunk) {
-    std::vector<BatchPutItem> copies;
-    copies.reserve(chunk.keys.size());
-    for (const size_t k : chunk.keys) copies.push_back(items[k]);
-    return copies;
-  };
-
+  // The chunk's items as a WriteBatch, in batch order (the transport
+  // seals the checksum). Copies, not moves: a later epoch-retry round may
+  // re-send an item to a new owner.
   auto make_wire_batch = [&](const WriteChunk& chunk, uint64_t query_id,
                              uint32_t sub_id) {
     WriteBatch batch;
@@ -365,103 +367,44 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
           reinterpret_cast<const char*>(item.column.payload.data()),
           item.column.payload.size());
     }
-    batch.checksum = MigrationBlockChecksum(batch.payloads);
     return batch;
   };
 
   const bool message = options.transport == GatherTransport::kMessage;
-  std::shared_ptr<NodeRuntime> runtime;
-  uint64_t query_id = 0;
-  // sub_id -> the chunk it carried, across every round (replies of a
-  // round are all awaited before the next round dispatches).
-  std::vector<WriteChunk> by_sub;
-
+  const std::string_view transport_name = message ? "message" : "direct";
+  // Direct puts have no wire query_id; mint one only when someone is
+  // recording, so the message path's id sequence stays undisturbed.
+  const uint64_t query_id =
+      message || flight_recorder_ != nullptr
+          ? next_query_id_.fetch_add(1, std::memory_order_relaxed)
+          : 0;
+  std::unique_ptr<LocalTransport> transport;
+  MessageTransport* wire = nullptr;  // set on the message path only
   if (message) {
-    GatherOptions runtime_options;
-    runtime_options.transport = GatherTransport::kMessage;
-    runtime_options.codec = options.codec;
+    GatherOptions runtime_options;  // the structural and admission knobs
     runtime_options.queue_depth = options.queue_depth;
     runtime_options.workers_per_node = options.workers_per_node;
     runtime_options.queue_policy = options.queue_policy;
     runtime_options.max_inflight = options.max_inflight;
     runtime_options.admission_policy = options.admission_policy;
-    runtime = EnsureRuntime(runtime_options);
-    flush_watermark_bytes_.store(options.flush_watermark_bytes,
-                                 std::memory_order_relaxed);
-    query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
+    auto owned = std::make_unique<MessageTransport>(
+        EnsureRuntime(runtime_options), query_id, frame_binding_,
+        write_binding_, spans_);
+    wire = owned.get();
+    transport = std::move(owned);
     NodeRuntime::QueryOptions query_options;
     query_options.codec = options.codec;
-    const Status admitted = runtime->BeginQuery(query_id, query_options);
+    query_options.flush_watermark_bytes = options.flush_watermark_bytes;
+    const Status admitted = wire->Begin(query_options);
     if (!admitted.ok()) {
-      // Shed whole: nothing was dispatched, every key missed its quorum.
+      // Shed whole: nothing is dispatched, so every key misses its quorum.
       result.shed_by_admission = true;
-      result.keys_quorum_failed = result.keys;
       result.first_error = admitted;
-      if (put_keys_counter_ != nullptr) {
-        put_keys_counter_->Increment(result.keys);
-      }
-      if (put_quorum_failures_counter_ != nullptr) {
-        put_quorum_failures_counter_->Increment(result.keys);
-      }
-      result.wall_us = ElapsedMicros(t0);
-      if (put_latency_ != nullptr) put_latency_->Record(result.wall_us);
-      RecordPut(query_id, table, "message", result);
-      return result;
     }
-  } else if (flight_recorder_ != nullptr) {
-    // Direct puts have no wire query_id; mint one only when someone is
-    // recording, so the message path's id sequence stays undisturbed.
-    query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    transport = std::make_unique<LocalTransport>(frame_binding_,
+                                                 write_binding_, spans_, 1, 0);
   }
-
-  auto run_direct_round = [&](const std::vector<WriteChunk>& chunks) {
-    for (const WriteChunk& chunk : chunks) {
-      // Load feedback at the dispatch *attempt* — the write has not
-      // happened yet, exactly like a read attempt that may still fail.
-      for (size_t i = 0; i < chunk.keys.size(); ++i) RecordDispatch(chunk.node);
-      result.replica_writes += chunk.keys.size();
-      ++result.batches_sent;
-      const WriteReply reply =
-          ApplyWriteBatchAt(chunk.node, table, chunk_items(chunk));
-      fold(chunk, reply, Status::Ok());
-    }
-  };
-
-  auto run_message_round = [&](const std::vector<WriteChunk>& chunks,
-                               uint32_t attempt) {
-    size_t outstanding = 0;
-    for (const WriteChunk& chunk : chunks) {
-      const uint32_t sub_id = static_cast<uint32_t>(by_sub.size());
-      by_sub.push_back(chunk);
-      WriteBatch wire = make_wire_batch(chunk, query_id, sub_id);
-      for (size_t i = 0; i < chunk.keys.size(); ++i) RecordDispatch(chunk.node);
-      result.replica_writes += chunk.keys.size();
-      ++result.batches_sent;
-      const Status sent =
-          runtime->DispatchWrite(query_id, chunk.node, wire, attempt);
-      if (!sent.ok()) {
-        // A node slot the runtime predates, or rejecting backpressure:
-        // apply the same batch directly (the gather's stale-node
-        // fallback) — the write must not be lost to transport shape.
-        const WriteReply reply =
-            ApplyWriteBatchAt(chunk.node, table, chunk_items(chunk));
-        fold(chunk, reply, Status::Ok());
-        continue;
-      }
-      ++outstanding;
-    }
-    while (outstanding > 0) {
-      NodeRuntime::DecodedWriteReply r = runtime->AwaitWriteReply(query_id);
-      --outstanding;
-      KV_CHECK(r.sub_id < by_sub.size());
-      const WriteChunk& chunk = by_sub[r.sub_id];
-      if (r.reply.ok()) {
-        fold(chunk, r.reply.value(), Status::Ok());
-      } else {
-        fold(chunk, WriteReply{}, r.reply.status());
-      }
-    }
-  };
 
   // Round 0: every (key, replica) pair. Later rounds exist only when a
   // ring flip was observed: they carry the copies the new owners are
@@ -469,16 +412,29 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
   // never re-sent it: faults are deterministic in (node, key), so a
   // retry against a refusing node cannot change the verdict.
   std::vector<std::pair<size_t, NodeId>> due;
-  for (size_t k = 0; k < items.size(); ++k) {
+  for (size_t k = 0; k < items.size() && !result.shed_by_admission; ++k) {
     for (const NodeId node : state[k].replicas) due.emplace_back(k, node);
   }
   uint32_t round = 0;
+  uint32_t next_sub = 0;  // sub_ids run on across rounds
   while (!due.empty()) {
+    // One round: send every chunk, then await one reply per chunk. A
+    // reply's sub_id names its chunk within the round.
     const std::vector<WriteChunk> chunks = build_chunks(due);
-    if (message) {
-      run_message_round(chunks, round);
-    } else {
-      run_direct_round(chunks);
+    const uint32_t first_sub = next_sub;
+    for (const WriteChunk& chunk : chunks) {
+      // Load feedback at the dispatch *attempt* — the write has not
+      // happened yet, exactly like a read attempt that may still fail.
+      RecordDispatch(chunk.node, chunk.keys.size());
+      result.replica_writes += chunk.keys.size();
+      ++result.batches_sent;
+      transport->DispatchWrite(
+          chunk.node, make_wire_batch(chunk, query_id, next_sub++), round);
+    }
+    for (size_t n = 0; n < chunks.size(); ++n) {
+      const NodeRuntime::DecodedWriteReply r = transport->AwaitWriteReply();
+      KV_CHECK(r.sub_id >= first_sub && r.sub_id - first_sub < chunks.size());
+      fold(chunks[r.sub_id - first_sub], r.reply);
     }
     due.clear();
     // A membership change in flight holds membership_mu_ from before its
@@ -530,20 +486,10 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     put_quorum_failures_counter_->Increment(result.keys_quorum_failed);
   }
 
-  if (message) {
-    // Read the query's private wire accounting before releasing its slot.
-    const NodeRuntime::WireStats wire = runtime->query_wire_stats(query_id);
-    result.wire_frames_sent = wire.frames_sent;
-    result.wire_bytes_sent = wire.bytes_sent;
-    result.wire_bytes_received = wire.bytes_received;
-    result.wire_encode_us = wire.encode_us;
-    result.wire_decode_us = wire.decode_us;
-    result.queue_wait_us = runtime->query_queue_wait_us(query_id);
-    runtime->EndQuery(query_id);
-  }
+  if (wire != nullptr && !result.shed_by_admission) wire->End(result);
   result.wall_us = ElapsedMicros(t0);
   if (put_latency_ != nullptr) put_latency_->Record(result.wall_us);
-  RecordPut(query_id, table, message ? "message" : "direct", result);
+  RecordPut(query_id, table, transport_name, result);
   return result;
 }
 

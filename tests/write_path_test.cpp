@@ -1,8 +1,10 @@
 // Tests for the batched replicated write path: PutResult accounting,
 // dispatch-on-attempt load feedback, PutBatch <-> sequential-Put parity
-// (healthy and under WAL/kill chaos, both transports), per-key quorum
+// (healthy and under WAL/kill chaos), direct <-> message parity (WAL
+// chaos, a killed replica, and both local fallbacks), per-key quorum
 // policies, group-commit sync amortization, torn-tail recovery, the
-// epoch-retry membership drill, and background flush scheduling.
+// epoch-retry membership drill, and background flush scheduling with a
+// per-put watermark.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -223,56 +225,152 @@ TEST(WritePathTest, BatchMatchesSequentialPutsUnderWalChaos) {
   RemoveWals(wal_b, 3);
 }
 
+/// One transport-parity scenario: the same faults on both clusters, and
+/// the message path's runtime shape.
+struct ParityCase {
+  const char* name = "";
+  double wal_error_rate = 0.2;
+  bool kill_replica = false;  ///< a replica dead before the put
+  /// A node joins while the put's first round is in flight, so the
+  /// message put's runtime predates it and the epoch-retry round's copies
+  /// to it take the local fallback.
+  bool join_during_put = false;
+  uint32_t batch = 6;
+  uint32_t queue_depth = 64;
+  uint32_t workers_per_node = 2;
+  QueueFullPolicy queue_policy = QueueFullPolicy::kBlock;
+};
+
+/// PutBatch on another thread, with AddNode issued as soon as the put's
+/// first write was dispatched (its keys are resolved and its runtime
+/// taken by then). The put's round ends by waiting the join out, so it
+/// sees the flip whenever the join began before that round finished.
+/// A first join adopts ring routing beforehand: the racing one then only
+/// moves keys onto the joining node, which the epoch-retry round writes
+/// in full, so what the join's stream copied mid-put cannot show.
+PutResult PutRacingAJoin(InProcessCluster& cluster,
+                         std::vector<BatchPutItem> items,
+                         const PutOptions& options) {
+  EXPECT_TRUE(cluster.AddNode().ok());
+  const auto load = [&cluster] {
+    const std::vector<int64_t> per_node = cluster.PlacementLoad();
+    return std::accumulate(per_node.begin(), per_node.end(), int64_t{0});
+  };
+  const int64_t before = load();
+  PutResult result;
+  std::thread writer(
+      [&] { result = cluster.PutBatch("t", std::move(items), options); });
+  while (load() == before) std::this_thread::yield();
+  EXPECT_TRUE(cluster.AddNode().ok());
+  writer.join();
+  return result;
+}
+
 TEST(WritePathTest, MessageTransportMatchesDirect) {
-  const std::string wal_a = TempPath("direct");
-  const std::string wal_b = TempPath("message");
-  StoreOptions options_a;
-  options_a.wal_path = wal_a;
-  StoreOptions options_b;
-  options_b.wal_path = wal_b;
-  InProcessCluster direct(3, PlacementKind::kDhtRandom, options_a, 7, 2);
-  InProcessCluster message(3, PlacementKind::kDhtRandom, options_b, 7, 2);
+  std::vector<ParityCase> cases(4);
+  cases[0].name = "wal chaos";
+  cases[1].name = "killed replica";  // the runtime's dequeue liveness bounce
+  cases[1].kill_replica = true;
+  cases[2].name = "node joined after the runtime was built";
+  cases[2].join_during_put = true;
+  cases[2].batch = 1;  // a long first round for the join to land in
+  // A refused copy to a gained node would leave it holding whatever the
+  // join's stream happened to copy first: keep every write landing.
+  cases[2].wal_error_rate = 0.0;
+  cases[3].name = "refused sends";  // kReject backpressure
+  cases[3].batch = 1;
+  cases[3].queue_depth = 1;
+  cases[3].workers_per_node = 1;
+  cases[3].queue_policy = QueueFullPolicy::kReject;
 
-  FaultConfig config;
-  config.seed = 91;
-  config.wal_error_rate = 0.2;
-  FaultInjector injector_a(config);
-  FaultInjector injector_b(config);
-  direct.AttachFaultInjector(&injector_a);
-  message.AttachFaultInjector(&injector_b);
+  for (const ParityCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    // A join that finished before the put's first round ended (or began
+    // after it) raced nothing: run the pair again until both puts saw it.
+    bool compared = false;
+    for (int attempt = 0; attempt < 20 && !compared; ++attempt) {
+      const std::string wal_a = TempPath("direct");
+      const std::string wal_b = TempPath("message");
+      StoreOptions options_a;
+      options_a.wal_path = wal_a;
+      StoreOptions options_b;
+      options_b.wal_path = wal_b;
+      InProcessCluster direct(3, PlacementKind::kDhtRandom, options_a, 7, 2);
+      InProcessCluster message(3, PlacementKind::kDhtRandom, options_b, 7, 2);
 
-  PutOptions direct_options;
-  direct_options.batch = 6;
-  const PutResult a = direct.PutBatch("t", MakeItems(20, 3), direct_options);
+      FaultConfig config;
+      config.seed = 91;
+      config.wal_error_rate = c.wal_error_rate;
+      FaultInjector injector_a(config);
+      FaultInjector injector_b(config);
+      direct.AttachFaultInjector(&injector_a);
+      message.AttachFaultInjector(&injector_b);
+      if (c.kill_replica) {
+        direct.KillNode(1);
+        message.KillNode(1);
+      }
 
-  PutOptions message_options;
-  message_options.batch = 6;
-  message_options.transport = GatherTransport::kMessage;
-  message_options.workers_per_node = 2;
-  const PutResult b =
-      message.PutBatch("t", MakeItems(20, 3), message_options);
+      PutOptions direct_options;
+      direct_options.batch = c.batch;
+      PutOptions message_options;
+      message_options.batch = c.batch;
+      message_options.transport = GatherTransport::kMessage;
+      message_options.queue_depth = c.queue_depth;
+      message_options.workers_per_node = c.workers_per_node;
+      message_options.queue_policy = c.queue_policy;
 
-  // Same accounting over the wire as over plain calls...
-  EXPECT_EQ(a.replica_writes, b.replica_writes);
-  EXPECT_EQ(a.replica_acks, b.replica_acks);
-  EXPECT_EQ(a.replica_failures, b.replica_failures);
-  EXPECT_EQ(a.batches_sent, b.batches_sent);
-  // ...but only the message path paid for frames.
-  EXPECT_EQ(a.wire_frames_sent, 0u);
-  EXPECT_EQ(b.wire_frames_sent, b.batches_sent);
-  EXPECT_GT(b.wire_bytes_sent, 0u);
-  EXPECT_GT(b.wire_bytes_received, 0u);
+      PutResult a;
+      PutResult b;
+      if (c.join_during_put) {
+        a = PutRacingAJoin(direct, MakeItems(20, 3), direct_options);
+        b = PutRacingAJoin(message, MakeItems(20, 3), message_options);
+      } else {
+        a = direct.PutBatch("t", MakeItems(20, 3), direct_options);
+        b = message.PutBatch("t", MakeItems(20, 3), message_options);
+      }
+      if (c.join_during_put &&
+          (a.epoch_retries != 1 || b.epoch_retries != 1)) {
+        RemoveWals(wal_a, 5);
+        RemoveWals(wal_b, 5);
+        continue;
+      }
 
-  direct.FlushAll();
-  message.FlushAll();
-  const WorkloadSpec workload = MakeWorkload(20, 3);
-  const GatherResult ra = direct.CountByTypeAll(workload);
-  const GatherResult rb = message.CountByTypeAll(workload);
-  EXPECT_EQ(ra.totals, rb.totals);
-  EXPECT_EQ(ra.partitions_missing, rb.partitions_missing);
-  EXPECT_EQ(direct.ColumnsPerNode("t"), message.ColumnsPerNode("t"));
-  RemoveWals(wal_a, 3);
-  RemoveWals(wal_b, 3);
+      // Same accounting over the wire as over plain calls...
+      EXPECT_EQ(a.replica_writes, b.replica_writes);
+      EXPECT_EQ(a.replica_acks, b.replica_acks);
+      EXPECT_EQ(a.replica_failures, b.replica_failures);
+      EXPECT_EQ(a.batches_sent, b.batches_sent);
+      EXPECT_EQ(a.keys_quorum_met, b.keys_quorum_met);
+      EXPECT_EQ(a.keys_quorum_failed, b.keys_quorum_failed);
+      EXPECT_EQ(a.epoch_retries, b.epoch_retries);
+      if (c.wal_error_rate > 0.0 || c.kill_replica) {
+        EXPECT_GT(a.replica_failures, 0u);  // the chaos really fired
+      }
+      // ...but only the message path paid for frames: one per batch,
+      // except the batches a fallback applied in process.
+      EXPECT_EQ(a.wire_frames_sent, 0u);
+      if (c.join_during_put || c.queue_policy == QueueFullPolicy::kReject) {
+        EXPECT_LT(b.wire_frames_sent, b.batches_sent);
+      } else {
+        EXPECT_EQ(b.wire_frames_sent, b.batches_sent);
+      }
+      EXPECT_GT(b.wire_bytes_sent, 0u);
+      EXPECT_GT(b.wire_bytes_received, 0u);
+
+      direct.FlushAll();
+      message.FlushAll();
+      const WorkloadSpec workload = MakeWorkload(20, 3);
+      const GatherResult ra = direct.CountByTypeAll(workload);
+      const GatherResult rb = message.CountByTypeAll(workload);
+      EXPECT_EQ(ra.totals, rb.totals);
+      EXPECT_EQ(ra.partitions_missing, rb.partitions_missing);
+      EXPECT_EQ(direct.ColumnsPerNode("t"), message.ColumnsPerNode("t"));
+      RemoveWals(wal_a, 5);
+      RemoveWals(wal_b, 5);
+      compared = true;
+    }
+    EXPECT_TRUE(compared) << "the join never landed inside the put";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -478,6 +576,79 @@ TEST(WritePathTest, WatermarkSchedulesBackgroundFlush) {
     if (found.ok()) segments += found.value()->segment_count();
   }
   EXPECT_GE(segments, 1u);
+}
+
+TEST(WritePathTest, FlushWatermarkStaysWithItsOwnPut) {
+  InProcessCluster cluster(2, PlacementKind::kDhtRandom, StoreOptions{}, 7,
+                           2);
+  PutOptions loud;
+  loud.transport = GatherTransport::kMessage;
+  loud.flush_watermark_bytes = 1;  // any write crosses it
+  loud.workers_per_node = 1;       // FIFO per node
+  PutOptions quiet = loud;
+  quiet.flush_watermark_bytes = 0;
+
+  // Two writers through the one shared runtime, each with its own
+  // watermark: the quiet writer's tables must never be flushed on the
+  // loud writer's behalf.
+  constexpr int kRounds = 40;
+  std::thread writer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      EXPECT_TRUE(cluster.PutBatch("loud", MakeItems(4, 2, "l"), loud).ok());
+    }
+  });
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_TRUE(cluster.PutBatch("quiet", MakeItems(4, 2, "q"), quiet).ok());
+  }
+  writer.join();
+  // Every put touches both nodes (replication 2 of 2) and each node has
+  // one worker, so this last put is served behind any maintenance step
+  // still queued.
+  ASSERT_TRUE(cluster.PutBatch("drain", MakeItems(1, 1, "d"), quiet).ok());
+
+  uint64_t loud_segments = 0;
+  for (uint32_t n = 0; n < cluster.node_count(); ++n) {
+    auto found = cluster.node(n).FindTable("quiet");
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value()->segment_count(), 0u) << "node " << n;
+    auto loud_table = cluster.node(n).FindTable("loud");
+    ASSERT_TRUE(loud_table.ok());
+    loud_segments += loud_table.value()->segment_count();
+  }
+  EXPECT_GE(loud_segments, 1u);  // the loud writer's watermark did fire
+}
+
+TEST(WritePathTest, ShedPutDispatchesNothingAndMissesEveryQuorum) {
+  InProcessCluster cluster(2, PlacementKind::kDhtRandom, StoreOptions{}, 7,
+                           2);
+  PutOptions options;
+  options.transport = GatherTransport::kMessage;
+  options.max_inflight = 1;
+  options.admission_policy = QueueFullPolicy::kReject;
+
+  // A second writer keeps the one admission slot busy until a put is shed.
+  std::atomic<bool> stop{false};
+  std::thread busy([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      cluster.PutBatch("t", MakeItems(8, 4, "b"), options);
+    }
+  });
+  PutResult shed;
+  for (int i = 0; i < 100000 && !shed.shed_by_admission; ++i) {
+    shed = cluster.PutBatch("t", MakeItems(3, 2), options);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  busy.join();
+
+  ASSERT_TRUE(shed.shed_by_admission);
+  EXPECT_FALSE(shed.ok());
+  EXPECT_EQ(shed.keys, 6u);
+  EXPECT_EQ(shed.keys_quorum_failed, 6u);
+  EXPECT_EQ(shed.keys_quorum_met, 0u);
+  EXPECT_EQ(shed.replica_writes, 0u);
+  EXPECT_EQ(shed.batches_sent, 0u);
+  EXPECT_EQ(shed.wire_frames_sent, 0u);
+  EXPECT_EQ(shed.first_error.code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------

@@ -49,14 +49,20 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --max-attempts 4
 
 # The write path under the same crossfire: durable group-committed
-# batches over the wire with a dead node and flaky WAL writes. The
-# accounting invariant (every replica write acked or failed, every key
-# given a quorum verdict) is checked inside the command; --verify
+# batches with a dead node and flaky WAL writes, once over the wire and
+# once over the local transport — both sides of the one write round.
+# The accounting invariant (every replica write acked or failed, every
+# key given a quorum verdict) is checked inside the command; --verify
 # gathers the table back afterwards.
 ./build-asan/tools/kvscale put-bench --nodes 4 --keys 60 --elements 3000 \
   --replication 3 --quorum majority --batch 8 --fail-node 0 \
   --wal build-asan/chaos_put.wal --wal-error-rate 0.05 \
   --codec compact --workers-per-node 2 --clients 4 --verify
+rm -f build-asan/chaos_put.wal.node*
+./build-asan/tools/kvscale put-bench --nodes 4 --keys 60 --elements 3000 \
+  --replication 3 --quorum majority --batch 8 --fail-node 0 \
+  --wal build-asan/chaos_put.wal --wal-error-rate 0.05 \
+  --clients 4 --verify
 rm -f build-asan/chaos_put.wal.node*
 
 echo "chaos_check: OK"

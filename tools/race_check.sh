@@ -28,6 +28,13 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --gtest_filter=WritePathTest.PutsLandDuringAMembershipChange \
   --gtest_repeat=200
 
+# Two message writers with different flush watermarks through the one
+# shared runtime, repeated: each put's watermark must stay with its own
+# batches, so the quiet writer's table is never flushed.
+./build-tsan/tests/write_path_test \
+  --gtest_filter=WritePathTest.FlushWatermarkStaysWithItsOwnPut \
+  --gtest_repeat=50
+
 # One sanitized end-to-end run over the wire: batched compact frames,
 # multiple workers per node, chaos on top.
 ./build-tsan/tools/kvscale gather --nodes 4 --keys 60 --elements 6000 \
